@@ -13,6 +13,7 @@ run can be reproduced from its own artifacts.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -105,6 +106,12 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
+        if not isinstance(base, dict):
+            raise UsageError("--config must hold a JSON object")
+        fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+        unknown = sorted(set(base) - fields)
+        if unknown:
+            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     base["kind"] = kind
     for flag, name in _FLAG_TO_FIELD.items():
         value = getattr(args, flag, None)

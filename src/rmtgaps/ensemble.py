@@ -65,6 +65,8 @@ class EnsembleSpec:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.sampler == SAMPLER_DENSE and self.beta != 1.0:
             raise ValueError("dense sampler realizes beta = 1 only")
+        if self.sampler == SAMPLER_DENSE and self.scaling != SCALING_UNIT:
+            raise ValueError("dense sampler is defined in the unit scaling")
         if self.scaling == SCALING_UNIT and self.beta != 1.0:
             raise ValueError("unit scaling is defined for beta = 1 only")
 
@@ -176,7 +178,5 @@ def sample_gbeta_tridiag(
 def sample(spec: EnsembleSpec, seed_stream: SeedStream, trial_index: int) -> Spectrum:
     """Dispatch on the sampler route declared in the spec."""
     if spec.sampler == SAMPLER_DENSE:
-        if spec.scaling != SCALING_UNIT:
-            raise ValueError("dense sampler is defined in the unit scaling")
         return sample_goe_dense(spec.n, seed_stream, trial_index)
     return sample_gbeta_tridiag(spec.n, spec.beta, seed_stream, trial_index, spec.scaling)

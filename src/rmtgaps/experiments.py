@@ -77,9 +77,23 @@ class ExperimentConfig:
         if not lo < hi:
             raise ValueError("interval must satisfy lo < hi")
         self.interval = (float(lo), float(hi))
+        if not isinstance(self.thresholds, dict):
+            raise ValueError("thresholds must be a mapping")
         merged = dict(DEFAULT_THRESHOLDS.get(self.kind, {}))
         merged.update(self.thresholds)
         self.thresholds = merged
+        # built here so a spec the ensemble rejects fails before any trial runs
+        self.specs = {part: _PARTS[part][0](self) for part in self.parts()}
+
+    def parts(self) -> dict:
+        """Row part -> trial count.  Only the crosscheck has several parts."""
+        if self.kind == "sampler-crosscheck":
+            return {
+                "dense_tau1": self.trials,
+                "tridiag_tau1": self.trials,
+                "gap_law_n2": self.gap_law_trials,
+            }
+        return {self.kind: self.trials}
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -113,81 +127,84 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# per-trial work (top level so process pools can pickle it)
+# per-trial work: each row part draws from one spec and applies one observable
 
 
-def _trial_rows(cfg: ExperimentConfig, lo: int, hi: int) -> list:
+def _run_spec(cfg: ExperimentConfig) -> ensemble.EnsembleSpec:
+    return ensemble.EnsembleSpec(cfg.n, cfg.beta, cfg.scaling, cfg.sampler)
+
+
+def _taus(cfg, v) -> dict:
+    tau = gapstats.tau_sequence(v, cfg.k_max)
+    return {f"tau_{k + 1}": float(tau[k]) for k in range(cfg.k_max)}
+
+
+def _window_counts(cfg, v) -> dict:
+    lags = gapstats.chi_tilde_counts(v, cfg.interval, cfg.j_max)
+    return {
+        "chi": gapstats.chi_count(v, cfg.interval),
+        "chi_tilde": gapstats.chi_tilde_total(v, cfg.interval),
+        **{f"lag_{j + 1}": lags[j] for j in range(cfg.j_max)},
+    }
+
+
+def _raw_gaps(cfg, v) -> dict:
+    gaps = np.sort(np.diff(v))
+    return {f"t_{k + 1}": float(gaps[k]) for k in range(cfg.k_max)}
+
+
+def _spectrum(cfg, v) -> dict:
+    return {"n": cfg.n, "beta": cfg.beta, **{f"lambda_{i + 1}": float(x) for i, x in enumerate(v)}}
+
+
+def _tau1(cfg, v) -> dict:
+    return {"value": gapstats.kth_gap_tau(v, 1)}
+
+
+# row part -> (config -> spec of its spectra, (config, sorted eigenvalues) -> row fields)
+_PARTS = {
+    "smallest-gap-law": (_run_spec, _taus),
+    "poisson-counts": (_run_spec, _window_counts),
+    "factorial-moments": (
+        _run_spec,
+        lambda cfg, v: {"chi_tilde": gapstats.chi_tilde_total(v, cfg.interval)},
+    ),
+    "successive-gaps": (
+        _run_spec,
+        lambda cfg, v: {"lag2_count": gapstats.chi_tilde_counts(v, (0.0, cfg.c0), 2)[1]},
+    ),
+    "conjecture-beta": (
+        lambda cfg: ensemble.EnsembleSpec(cfg.n, cfg.beta, ensemble.SCALING_NSCALED),
+        _raw_gaps,
+    ),
+    "sample": (_run_spec, _spectrum),
+    "dense_tau1": (
+        lambda cfg: ensemble.EnsembleSpec(cfg.n, sampler=ensemble.SAMPLER_DENSE),
+        _tau1,
+    ),
+    "tridiag_tau1": (lambda cfg: ensemble.EnsembleSpec(cfg.n), _tau1),
+    "gap_law_n2": (
+        lambda cfg: ensemble.EnsembleSpec(2, sampler=ensemble.SAMPLER_DENSE),
+        lambda cfg, v: {"value": float(v[1] - v[0])},
+    ),
+}
+
+
+def _part_rows(cfg: ExperimentConfig, part: str, lo: int, hi: int) -> list:
+    """Rows of trials lo..hi-1; a part other than the kind itself is named in each row."""
+    spec, observe = cfg.specs[part], _PARTS[part][1]
     stream = ensemble.SeedStream(cfg.base_seed)
-    kind = cfg.kind
-    rows = []
-    for t in range(lo, hi):
-        if kind == "smallest-gap-law":
-            s = _draw(cfg, stream, t)
-            tau = gapstats.tau_sequence(s.values, cfg.k_max)
-            rows.append({"trial": t, **{f"tau_{k + 1}": float(tau[k]) for k in range(cfg.k_max)}})
-        elif kind == "poisson-counts":
-            s = _draw(cfg, stream, t)
-            lags = gapstats.chi_tilde_counts(s.values, cfg.interval, cfg.j_max)
-            rows.append(
-                {
-                    "trial": t,
-                    "chi": gapstats.chi_count(s.values, cfg.interval),
-                    "chi_tilde": gapstats.chi_tilde_total(s.values, cfg.interval),
-                    **{f"lag_{j + 1}": lags[j] for j in range(cfg.j_max)},
-                }
-            )
-        elif kind == "factorial-moments":
-            s = _draw(cfg, stream, t)
-            rows.append(
-                {"trial": t, "chi_tilde": gapstats.chi_tilde_total(s.values, cfg.interval)}
-            )
-        elif kind == "successive-gaps":
-            s = _draw(cfg, stream, t)
-            lag2 = gapstats.chi_tilde_counts(s.values, (0.0, cfg.c0), 2)[1]
-            rows.append({"trial": t, "lag2_count": lag2})
-        elif kind == "conjecture-beta":
-            s = ensemble.sample_gbeta_tridiag(
-                cfg.n, cfg.beta, stream, t, scaling=ensemble.SCALING_NSCALED
-            )
-            gaps = np.sort(np.diff(s.values))
-            rows.append(
-                {"trial": t, **{f"t_{k + 1}": float(gaps[k]) for k in range(cfg.k_max)}}
-            )
-        else:
-            raise ValueError(f"no per-trial body for kind {kind!r}")
-    return rows
-
-
-def _crosscheck_rows(cfg: ExperimentConfig, part: str, lo: int, hi: int) -> list:
-    stream = ensemble.SeedStream(cfg.base_seed)
-    rows = []
-    for t in range(lo, hi):
-        if part == "dense_tau1":
-            s = ensemble.sample_goe_dense(cfg.n, stream, t)
-            rows.append({"part": part, "trial": t, "value": gapstats.kth_gap_tau(s.values, 1)})
-        elif part == "tridiag_tau1":
-            s = ensemble.sample_gbeta_tridiag(cfg.n, 1.0, stream, t)
-            rows.append({"part": part, "trial": t, "value": gapstats.kth_gap_tau(s.values, 1)})
-        elif part == "gap_law_n2":
-            s = ensemble.sample_goe_dense(2, stream, t)
-            rows.append({"part": part, "trial": t, "value": float(s.values[1] - s.values[0])})
-        else:
-            raise ValueError(part)
-    return rows
-
-
-def _draw(cfg: ExperimentConfig, stream, trial_index: int):
-    if cfg.sampler == ensemble.SAMPLER_DENSE:
-        return ensemble.sample_goe_dense(cfg.n, stream, trial_index)
-    return ensemble.sample_gbeta_tridiag(cfg.n, cfg.beta, stream, trial_index, cfg.scaling)
+    label = {} if part == cfg.kind else {"part": part}
+    return [
+        {**label, "trial": t, **observe(cfg, ensemble.sample(spec, stream, t).values)}
+        for t in range(lo, hi)
+    ]
 
 
 def _pool_worker(args):
+    # top level, and given a part name rather than a table entry, so pools can pickle it
     cfg_dict, part, lo, hi = args
-    cfg = ExperimentConfig(**cfg_dict)
-    if part is None:
-        return _trial_rows(cfg, lo, hi)
-    return _crosscheck_rows(cfg, part, lo, hi)
+    return _part_rows(ExperimentConfig(**cfg_dict), part, lo, hi)
 
 
 def _parallel_rows(cfg: ExperimentConfig, part, total: int) -> list:
@@ -212,6 +229,22 @@ def _mean_se(x: np.ndarray) -> tuple:
     return float(np.mean(x)), se
 
 
+def _fit_gap_law(samples, k: int, beta: float, title: str, xlabel: str) -> tuple:
+    """KS distance and p-value of samples against the k-th gap law, and their histogram."""
+    d, p = gapstats.ks_test(
+        gapstats.EmpiricalDistribution.from_samples(samples),
+        lambda x: gapstats.limiting_tau_cdf(k, x, beta),
+    )
+    svg = svgplot.histogram_svg(
+        samples,
+        _HIST_BINS,
+        title=title,
+        xlabel=xlabel,
+        density_fn=lambda x: gapstats.limiting_tau_pdf(k, x, beta),
+    )
+    return d, p, svg
+
+
 def _agg_smallest_gap_law(cfg, rows):
     thr = cfg.thresholds
     results = {"trials": len(rows)}
@@ -219,8 +252,9 @@ def _agg_smallest_gap_law(cfg, rows):
     svgs = {}
     for k in range(1, cfg.k_max + 1):
         taus = np.array([r[f"tau_{k}"] for r in rows])
-        emp = gapstats.EmpiricalDistribution.from_samples(taus)
-        d, p = gapstats.ks_test(emp, lambda x, k=k: gapstats.limiting_tau_cdf(k, x))
+        d, p, svgs[f"tau_{k}.svg"] = _fit_gap_law(
+            taus, k, 1.0, f"normalized gap tau_{k}, n={cfg.n}, {len(rows)} trials", f"tau_{k}"
+        )
         ks_max = thr["ks_max"].get(str(k))
         entry = {
             "ks_distance": d,
@@ -239,13 +273,6 @@ def _agg_smallest_gap_law(cfg, rows):
             entry["mean_passed"] = bool(abs(entry["mean"] - expect) < tol)
             passed &= entry["mean_passed"]
         results[f"tau_{k}"] = entry
-        svgs[f"tau_{k}.svg"] = svgplot.histogram_svg(
-            taus,
-            _HIST_BINS,
-            title=f"normalized gap tau_{k}, n={cfg.n}, {len(rows)} trials",
-            xlabel=f"tau_{k}",
-            density_fn=lambda x, k=k: gapstats.limiting_tau_pdf(k, x),
-        )
     return results, passed, svgs
 
 
@@ -255,8 +282,7 @@ def _agg_poisson_counts(cfg, rows):
     chi_tilde = np.array([r["chi_tilde"] for r in rows], dtype=np.int64)
     mu = gapstats.poisson_intensity(cfg.interval)
     mean, se = _mean_se(chi.astype(np.float64))
-    fm2_samples = chi_tilde * (chi_tilde - 1.0)
-    fm2, fm2_se = _mean_se(fm2_samples)
+    fm2, fm2_se = _mean_se(gapstats.falling_factorial(chi_tilde, 2))
     gof_p = gapstats.poisson_gof(chi, mu)
     mean_ok = abs(mean - mu) <= thr["mean_sigmas"] * se
     fm2_ok = abs(fm2 - mu * mu) <= thr["fm2_sigmas"] * fm2_se
@@ -293,10 +319,7 @@ def _agg_factorial_moments(cfg, rows):
     results = {"trials": len(rows)}
     passed = True
     for k in range(1, cfg.k_max + 1):
-        prod = np.ones_like(chi_tilde)
-        for j in range(k):
-            prod = prod * (chi_tilde - j)
-        est, se = _mean_se(prod)
+        est, se = _mean_se(gapstats.falling_factorial(chi_tilde, k))
         expect = base**k
         ok = abs(est - expect) <= thr["sigmas"] * se if se > 0 else est == expect
         results[f"moment_{k}"] = {
@@ -392,36 +415,10 @@ def _agg_conjecture_beta(cfg, rows):
     results["scale_estimate"] = c_hat
     for k in range(1, cfg.k_max + 1):
         tk = np.array([r[f"t_{k}"] for r in rows]) * cfg.n**expo * c_hat
-
-        def cdf(x, k=k):
-            if x <= 0:
-                return 0.0
-            y = x ** (beta + 1.0)
-            tail = math.fsum(
-                math.exp(-y + j * math.log(y) - math.lgamma(j + 1)) for j in range(k)
-            )
-            return min(1.0, max(0.0, 1.0 - tail))
-
-        d, p = gapstats.ks_test(gapstats.EmpiricalDistribution.from_samples(tk), cdf)
-        results[f"shape_ks_{k}"] = {"ks_distance": d, "ks_p": p}
-
-        def pdf(x, k=k):
-            if x <= 0:
-                return 0.0
-            return math.exp(
-                math.log(beta + 1.0)
-                + (k * (beta + 1.0) - 1.0) * math.log(x)
-                - x ** (beta + 1.0)
-                - math.lgamma(k)
-            )
-
-        svgs[f"scaled_gap_{k}.svg"] = svgplot.histogram_svg(
-            tk,
-            _HIST_BINS,
-            title=f"scaled gap {k}, beta={beta}, n={cfg.n}",
-            xlabel="scaled gap",
-            density_fn=pdf,
+        d, p, svgs[f"scaled_gap_{k}.svg"] = _fit_gap_law(
+            tk, k, beta, f"scaled gap {k}, beta={beta}, n={cfg.n}", "scaled gap"
         )
+        results[f"shape_ks_{k}"] = {"ks_distance": d, "ks_p": p}
     return results, True, svgs
 
 
@@ -438,16 +435,7 @@ _AGGREGATORS = {
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport:
     """Run all trials, aggregate, optionally write CSV/JSON/SVG artifacts."""
     t0 = time.perf_counter()
-    if cfg.kind == "sampler-crosscheck":
-        rows = []
-        for part, total in (
-            ("dense_tau1", cfg.trials),
-            ("tridiag_tau1", cfg.trials),
-            ("gap_law_n2", cfg.gap_law_trials),
-        ):
-            rows.extend(_parallel_rows(cfg, part, total))
-    else:
-        rows = _parallel_rows(cfg, None, cfg.trials)
+    rows = [row for part, total in cfg.parts().items() for row in _parallel_rows(cfg, part, total)]
 
     results, passed, svgs = _AGGREGATORS[cfg.kind](cfg, rows)
     wall = None if cfg.reproducible else time.perf_counter() - t0
@@ -461,15 +449,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport
     )
     if write_files:
         out = Path(cfg.out_dir)
-        header = list(rows[0].keys())
-        reports.write_csv(
-            out / f"{cfg.kind}.csv",
-            cfg.echo_dict(),
-            __version__,
-            header,
-            ([r[h] for h in header] for r in rows),
-            cfg.reproducible,
-        )
+        _write_rows(out / f"{cfg.kind}.csv", cfg, rows)
         reports.write_json(out / f"{cfg.kind}.json", report.to_dict())
         for name, svg in svgs.items():
             path = out / f"{cfg.kind}_{name}"
@@ -478,14 +458,14 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport
     return report
 
 
+def _write_rows(path: Path, cfg: ExperimentConfig, rows: list) -> None:
+    header = list(rows[0].keys())
+    rows = ([r[h] for h in header] for r in rows)
+    reports.write_csv(path, cfg.echo_dict(), __version__, header, rows, cfg.reproducible)
+
+
 def write_spectra_csv(cfg: ExperimentConfig) -> Path:
     """Raw spectra export: one CSV row per trial with all sorted eigenvalues."""
-    stream = ensemble.SeedStream(cfg.base_seed)
     out = Path(cfg.out_dir) / "spectra.csv"
-    rows = []
-    for t in range(cfg.trials):
-        s = _draw(cfg, stream, t)
-        rows.append([t, cfg.n, cfg.beta] + [float(v) for v in s.values])
-    header = ["trial", "n", "beta"] + [f"lambda_{i + 1}" for i in range(cfg.n)]
-    reports.write_csv(out, cfg.echo_dict(), __version__, header, rows, cfg.reproducible)
+    _write_rows(out, cfg, _part_rows(cfg, "sample", 0, cfg.trials))
     return out

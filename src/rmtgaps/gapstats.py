@@ -1,10 +1,10 @@
 """Gap observables of a sampled spectrum and their limiting laws.
 
 Counts nearest-neighbor and lag-j gap statistics in a window A (always an
-open interval of normalized gaps n*(lambda_{i+j} - lambda_i)), the ordered
-tuples of disjoint close pairs, the cluster span, and the normalized k-th
-smallest gaps tau_k = 2^{-3/2} n t_k whose limit law has density
-2 x^{2k-1} e^{-x^2} / (k-1)!.
+open interval of normalized gaps n*(lambda_{i+j} - lambda_i)) and the
+normalized k-th smallest gaps tau_k = 2^{-3/2} n t_k whose limit law has
+density 2 x^{2k-1} e^{-x^2} / (k-1)!.  The same law with x^2 replaced by
+x^{beta+1} is the conjectured shape for other Dyson indices beta.
 
 Goodness-of-fit helpers (one- and two-sample Kolmogorov-Smirnov with the
 asymptotic p-value, chi-square Poisson fit, factorial moments) operate on
@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2 as _chi2
-
-MAX_RHO_K = 4
-MAX_QUALIFYING_PAIRS = 10_000
 
 TAU_NORMALIZATION = 2.0**-1.5
 
@@ -73,100 +70,6 @@ def chi_tilde_total(spectrum, interval) -> int:
     return total
 
 
-def _qualifying_pairs(v: np.ndarray, interval) -> list:
-    """Index pairs (i, j), i < j, with normalized distance inside the window."""
-    n = v.size
-    lo, hi = interval
-    pairs = []
-    for i in range(n - 1):
-        j = i + 1
-        while j < n and (v[j] - v[i]) * n < hi:
-            if (v[j] - v[i]) * n > lo:
-                pairs.append((i, j))
-                if len(pairs) > MAX_QUALIFYING_PAIRS:
-                    raise ValueError("window far too wide: qualifying pair set exceeds cap")
-            j += 1
-    return pairs
-
-
-def _matching_count_3(pairs: list) -> int:
-    """Number of unordered vertex-disjoint triples among the given pairs.
-
-    Subgraph-count inclusion-exclusion on the graph whose edges are the
-    pairs: C(m,3) - a2*(m-2) + paths3 + 2*triangles + 2*stars3, where a2 is
-    the adjacent-edge-pair count.
-    """
-    m = len(pairs)
-    if m < 3:
-        return 0
-    adj: dict = {}
-    for u, w in pairs:
-        adj.setdefault(u, set()).add(w)
-        adj.setdefault(w, set()).add(u)
-    a2 = sum(math.comb(len(s), 2) for s in adj.values())
-    s3 = sum(math.comb(len(s), 3) for s in adj.values())
-    tri = 0
-    for u, w in pairs:
-        tri += len(adj[u] & adj[w])
-    tri //= 3
-    p4 = sum((len(adj[u]) - 1) * (len(adj[w]) - 1) for u, w in pairs) - 3 * tri
-    return math.comb(m, 3) - a2 * (m - 2) + p4 + 2 * tri + 2 * s3
-
-
-def _matching_count(pairs: list, k: int) -> int:
-    """Unordered k-tuples of pairwise vertex-disjoint pairs, k <= 4."""
-    m = len(pairs)
-    if k == 0:
-        return 1
-    if k == 1:
-        return m
-    if k == 2:
-        adj: dict = {}
-        for u, w in pairs:
-            adj.setdefault(u, []).append(w)
-            adj.setdefault(w, []).append(u)
-        a2 = sum(math.comb(len(s), 2) for s in adj.values())
-        return math.comb(m, 2) - a2
-    if k == 3:
-        return _matching_count_3(pairs)
-    if k == 4:
-        # every 4-matching has a unique minimal edge in the fixed ordering
-        total = 0
-        for idx, (u, w) in enumerate(pairs):
-            rest = [p for p in pairs[idx + 1 :] if u not in p and w not in p]
-            total += _matching_count_3(rest)
-        return total
-    raise ValueError(f"tuple order limited to {MAX_RHO_K}")
-
-
-def rho_count(spectrum, interval, k: int) -> int:
-    """Ordered k-tuples of disjoint index pairs, each pair's normalized
-    distance inside the window.  Exact via matching counts on the
-    qualifying-pair graph; a brute-force oracle exists in the tests."""
-    if not 1 <= k <= MAX_RHO_K:
-        raise ValueError(f"k must be in [1, {MAX_RHO_K}]")
-    v = _values(spectrum)
-    pairs = _qualifying_pairs(v, interval)
-    return math.factorial(k) * _matching_count(pairs, k)
-
-
-def cluster_span(spectrum, c1: float) -> int:
-    """Largest rank distance between order statistics closer than 2*c1/n."""
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
-    v = _values(spectrum)
-    n = v.size
-    thr = 2.0 * c1 / n
-    best = 0
-    left = 0
-    for right in range(n):
-        while v[right] - v[left] >= thr:
-            left += 1
-        if right - left > best:
-            best = right - left
-    return best
-
-
 # ---------------------------------------------------------------------------
 # normalized smallest gaps and their limit law
 
@@ -185,26 +88,35 @@ def kth_gap_tau(spectrum, k: int) -> float:
     return float(tau_sequence(spectrum, k)[k - 1])
 
 
-def limiting_tau_cdf(k: int, x: float) -> float:
+def _law_power(x: float, beta: float) -> float:
+    """x^{beta+1}; at beta = 1 the product x*x, which x ** 2.0 does not
+    always round to."""
+    return x * x if beta == 1.0 else x ** (beta + 1.0)
+
+
+def limiting_tau_cdf(k: int, x: float, beta: float = 1.0) -> float:
     """P(tau_k <= x) in the limit: the regularized lower incomplete gamma
-    of integer order k at x^2, i.e. 1 - e^{-x^2} sum_{j<k} x^{2j}/j!."""
+    of integer order k at y = x^{beta+1}, i.e. 1 - e^{-y} sum_{j<k} y^j/j!.
+    beta = 1 is the GOE law of the k-th smallest gap."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x <= 0:
         return 0.0
-    y = x * x
+    y = _law_power(x, beta)
     tail = math.fsum(math.exp(-y + j * math.log(y) - math.lgamma(j + 1)) for j in range(k))
     return min(1.0, max(0.0, 1.0 - tail))
 
 
-def limiting_tau_pdf(k: int, x: float) -> float:
-    """Limit density 2 x^{2k-1} e^{-x^2} / (k-1)! of the k-th smallest gap."""
+def limiting_tau_pdf(k: int, x: float, beta: float = 1.0) -> float:
+    """Limit density (beta+1) x^{k(beta+1)-1} e^{-x^{beta+1}} / (k-1)!,
+    which is 2 x^{2k-1} e^{-x^2} / (k-1)! for the GOE."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x <= 0:
         return 0.0
+    b1 = beta + 1.0
     return math.exp(
-        math.log(2.0) + (2 * k - 1) * math.log(x) - x * x - math.lgamma(k)
+        math.log(b1) + (k * b1 - 1.0) * math.log(x) - _law_power(x, beta) - math.lgamma(k)
     )
 
 
@@ -236,11 +148,6 @@ class EmpiricalDistribution:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def to_csv(self) -> str:
-        """Sorted samples as CSV text for external plotting."""
-        lines = ["rank,value"] + [f"{i},{float(v)!r}" for i, v in enumerate(self.values)]
-        return "\n".join(lines) + "\n"
 
 
 def kolmogorov_sf(x: float) -> float:
@@ -295,15 +202,20 @@ def ks_two_sample(a: EmpiricalDistribution, b: EmpiricalDistribution) -> tuple:
     return d, kolmogorov_sf(math.sqrt(ne) * d)
 
 
-def factorial_moment(count_samples, k: int) -> float:
-    """Mean over trials of c*(c-1)*...*(c-k+1)."""
+def falling_factorial(count_samples, k: int) -> np.ndarray:
+    """Per-sample falling factorial c*(c-1)*...*(c-k+1), as floats."""
     if k < 1:
         raise ValueError("k must be >= 1")
     c = np.asarray(count_samples, dtype=np.float64)
     prod = np.ones_like(c)
     for j in range(k):
         prod = prod * (c - j)
-    return float(np.mean(prod))
+    return prod
+
+
+def factorial_moment(count_samples, k: int) -> float:
+    """Mean over trials of c*(c-1)*...*(c-k+1)."""
+    return float(np.mean(falling_factorial(count_samples, k)))
 
 
 def _poisson_pmf(kk: np.ndarray, mu: float) -> np.ndarray:
@@ -350,49 +262,3 @@ def poisson_gof(count_samples, mu: float) -> float:
     exp = np.array(pooled_exp)
     stat = float(np.sum((obs - exp) ** 2 / exp))
     return float(_chi2.sf(stat, df=len(pooled_exp) - 1))
-
-
-# ---------------------------------------------------------------------------
-# per-trial summary
-
-
-@dataclass(frozen=True)
-class GapSummary:
-    """Derived statistics of one spectrum for a fixed window."""
-
-    n: int
-    trial_index: int
-    tau: np.ndarray
-    chi: int
-    chi_tilde_by_lag: np.ndarray
-    chi_tilde: int
-    cluster_span_a: int
-
-    def csv_header(self) -> list:
-        return (
-            ["trial", "n", "chi", "chi_tilde", "cluster_span_a"]
-            + [f"tau_{k + 1}" for k in range(len(self.tau))]
-            + [f"lag_{j + 1}" for j in range(len(self.chi_tilde_by_lag))]
-        )
-
-    def csv_row(self) -> list:
-        return (
-            [self.trial_index, self.n, self.chi, self.chi_tilde, self.cluster_span_a]
-            + [float(t) for t in self.tau]
-            + [int(c) for c in self.chi_tilde_by_lag]
-        )
-
-
-def summarize(spectrum, interval, k_max: int, j_max: int) -> GapSummary:
-    """All window statistics of one spectrum in a single pass."""
-    v = _values(spectrum)
-    lags = chi_tilde_counts(v, interval, j_max)
-    return GapSummary(
-        n=v.size,
-        trial_index=getattr(spectrum, "trial_index", -1),
-        tau=tau_sequence(v, k_max),
-        chi=chi_count(v, interval),
-        chi_tilde_by_lag=np.asarray(lags, dtype=np.int64),
-        chi_tilde=chi_tilde_total(v, interval),
-        cluster_span_a=cluster_span(v, interval[1]),
-    )

@@ -93,18 +93,24 @@ def hermite_coeff_closed(j: int, power: int) -> int:
     return (-1) ** m * 2 ** (j - m) * math.comb(j, 2 * m) * math.factorial(2 * m) // (2**m * math.factorial(m))
 
 
-def phi_rows(jmax: int, x) -> np.ndarray:
-    """Array of shape (jmax+1, len(x)) with rows phi_0(x)..phi_jmax(x)."""
-    if not 0 <= jmax <= MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
+def _recurrence_rows(jmax: int, x, gaussian: bool) -> np.ndarray:
+    """Rows 0..jmax of the normalized recurrence: phi_j(x) when ``gaussian``,
+    otherwise the polynomial factor phi_j(x) * e^{x^2/2}."""
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     rows = np.empty((jmax + 1, xv.size))
-    rows[0] = np.exp(-0.5 * xv * xv) / _PI4
+    rows[0] = (np.exp(-0.5 * xv * xv) if gaussian else 1.0) / _PI4
     if jmax >= 1:
         rows[1] = xv * math.sqrt(2.0) * rows[0]
     for j in range(1, jmax):
         rows[j + 1] = xv * math.sqrt(2.0 / (j + 1)) * rows[j] - math.sqrt(j / (j + 1)) * rows[j - 1]
     return rows
+
+
+def phi_rows(jmax: int, x) -> np.ndarray:
+    """Array of shape (jmax+1, len(x)) with rows phi_0(x)..phi_jmax(x)."""
+    if not 0 <= jmax <= MAX_DEGREE:
+        raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
+    return _recurrence_rows(jmax, x, gaussian=True)
 
 
 def phi_eval(j: int, x):
@@ -112,18 +118,6 @@ def phi_eval(j: int, x):
     rows = phi_rows(j, x)
     out = rows[j]
     return float(out[0]) if np.isscalar(x) else out
-
-
-def _weighted_hermite_rows(jmax: int, x: np.ndarray) -> np.ndarray:
-    """Rows of phi_j(x) * e^{x^2/2}: the polynomial factor, same recurrence."""
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    rows = np.empty((jmax + 1, xv.size))
-    rows[0] = 1.0 / _PI4
-    if jmax >= 1:
-        rows[1] = xv * math.sqrt(2.0) * rows[0]
-    for j in range(1, jmax):
-        rows[j + 1] = xv * math.sqrt(2.0 / (j + 1)) * rows[j] - math.sqrt(j / (j + 1)) * rows[j - 1]
-    return rows
 
 
 def gauss_hermite(m: int) -> QuadratureRule:
@@ -142,10 +136,10 @@ def gauss_hermite(m: int) -> QuadratureRule:
     jac = np.diag(off, 1) + np.diag(off, -1)
     nodes = np.linalg.eigvalsh(jac)
     for _ in range(2):
-        rows = _weighted_hermite_rows(m, nodes)
+        rows = _recurrence_rows(m, nodes, gaussian=False)
         # htilde_m'(x) = sqrt(2m) * htilde_{m-1}(x)
         nodes = nodes - rows[m] / (math.sqrt(2.0 * m) * rows[m - 1])
-    rows = _weighted_hermite_rows(m - 1 if m > 1 else 0, nodes)
+    rows = _recurrence_rows(m - 1 if m > 1 else 0, nodes, gaussian=False)
     weights = 1.0 / (m * rows[m - 1] ** 2) if m > 1 else np.full(1, math.sqrt(math.pi))
     return QuadratureRule(nodes=nodes, weights=weights)
 
@@ -162,7 +156,7 @@ def orthonormality_defect(jmax: int, m: int) -> float:
     shorter rules document the failure mode.
     """
     rule = gauss_hermite(m)
-    rows = _weighted_hermite_rows(jmax, rule.nodes)
+    rows = _recurrence_rows(jmax, rule.nodes, gaussian=False)
     gram = (rows * rule.weights) @ rows.T
     return float(np.max(np.abs(gram - np.eye(jmax + 1))))
 
@@ -211,7 +205,7 @@ def wave_eval(w: WaveExpansion, x) -> np.ndarray:
 def wave_l2_quadrature(w: WaveExpansion) -> float:
     """Independent L^2 norm of the expansion via Gauss-Hermite quadrature."""
     rule = gauss_hermite(default_rule_size(w.degree))
-    rows = _weighted_hermite_rows(w.degree, rule.nodes)
+    rows = _recurrence_rows(w.degree, rule.nodes, gaussian=False)
     fvals = w.coefficients @ rows
     return rule.integrate_weighted(fvals * fvals)
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
+from .hermite import phi_rows
 from .skewlin import pfaffian_bordered, pfaffian_poly
 
 MAX_PFAFFIAN_N = 40
@@ -192,8 +194,6 @@ def _alpha_quadrature_table(jmax: int, points: int = 80001) -> np.ndarray:
     [-20, 20]; the outer integral pairs phi_{k-1} against 2*C_{j-1} - total.
     Independent of alpha_coeff: only the recurrence for phi is shared.
     """
-    from .hermite import phi_rows
-
     x = np.linspace(-20.0, 20.0, points)
     dx = x[1] - x[0]
     rows = phi_rows(jmax - 1, x)
@@ -376,12 +376,10 @@ def _constrained_value(n: int, constraint, l: int, level: int) -> float:
         gap_axes = []
     elif isinstance(constraint.bound, (tuple, list)):
         a, b = float(constraint.bound[0]), float(constraint.bound[1])
-        gap_axes = [_trapezoid_axis(a, b, gap_cells)] * kappa
-        sign_choices = kappa  # each gap ranges over (a,b) or (-b,-a)
+        gap_axes = [_trapezoid_axis(a, b, gap_cells)] * kappa  # signs flip (a,b) to (-b,-a)
     else:
         c = float(constraint.bound)
         gap_axes = [_trapezoid_axis(-c, c, 2 * gap_cells)] * kappa
-        sign_choices = 0
 
     nbase = m - kappa
 
@@ -396,33 +394,21 @@ def _constrained_value(n: int, constraint, l: int, level: int) -> float:
         axes = [(base_grid, base_w)] * nbase
         for i, (g, w) in enumerate(gap_axes):
             axes.append((signs[i] * g, w) if signs else (g, w))
-        total = 0.0
-        outer = axes[:-2]
-        inner = axes[-2:] if m >= 2 else axes
         if m == 1:
             lam = [axes[0][0]]
             return float(np.dot(axes[0][1], integrand(lam)))
-        gi, wi = inner[0]
-        gj, wj = inner[1]
-        from itertools import product as iproduct
-
-        outer_iter = iproduct(*[range(g.size) for g, _ in outer]) if outer else [()]
-        for idx in outer_iter:
+        outer = axes[:-2]
+        (gi, wi), (gj, wj) = axes[-2:]
+        total = 0.0
+        for idx in product(*[range(g.size) for g, _ in outer]):
             coords = []
             wout = 1.0
             for ax, i in zip(outer, idx):
                 coords.append(ax[0][i])
                 wout *= ax[1][i]
-            ci = gi[:, None]
-            cj = gj[None, :]
+            flat = coords + [gi[:, None], gj[None, :]]
             # positions: first nbase are base values, then base + u per gap
-            vals = []
-            pos = 0
-            flat = coords + [ci, cj]
-            # assemble lambda list in coordinate order
-            lams = []
-            for s in range(nbase):
-                lams.append(flat[s])
+            lams = flat[:nbase]
             for t in range(kappa):
                 partner = nbase - kappa + t
                 lams.append(lams[partner] + flat[nbase + t])
@@ -432,10 +418,8 @@ def _constrained_value(n: int, constraint, l: int, level: int) -> float:
 
     if kappa == 0 or not isinstance(constraint.bound, (tuple, list)):
         return accumulate(())
-    from itertools import product as iproduct
-
     total = 0.0
-    for signs in iproduct((1.0, -1.0), repeat=kappa):
+    for signs in product((1.0, -1.0), repeat=kappa):
         total += accumulate(signs)
     return total
 

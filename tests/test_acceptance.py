@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rmtgaps import cli, hermite, loggas, skewlin
+from rmtgaps import cli, hermite, loggas, verify
 from rmtgaps.experiments import ExperimentConfig, run_experiment
 
 WORKERS = 2
@@ -123,85 +123,22 @@ def test_criterion_3_quadrature_crosscheck():
     criterion(3, rel1 < 1e-3 and rel2 < 1e-3, f"two-charge value off by {rel1:.2e} / {rel2:.2e}")
 
 
+def _suite_detail(result) -> str:
+    return ", ".join(
+        f"{check} {value:.1e}{'' if ok else ' FAILED'}" for check, value, _, ok in result.rows
+    )
+
+
 def test_criterion_4_pfaffian_property_suite():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1)
-
-    def skew(n):
-        x = rng.uniform(-1, 1, (n, n))
-        return x - x.T
-
-    e_sq = e_cong = e_scale = e_exact = 0.0
-    for _ in range(100):
-        x = skew(2 * int(rng.integers(1, 6)))
-        pf = skewlin.pfaffian_numeric(x)
-        e_sq = max(e_sq, abs(pf * pf - np.linalg.det(x)) / max(abs(np.linalg.det(x)), 1e-300))
-    for _ in range(100):
-        n = 2 * int(rng.integers(1, 5))
-        x, b = skew(n), rng.uniform(-1, 1, (n, n))
-        lhs = skewlin.pfaffian_numeric(b.T @ x @ b)
-        rhs = np.linalg.det(b) * skewlin.pfaffian_numeric(x)
-        e_cong = max(e_cong, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    for _ in range(100):
-        n = 2 * int(rng.integers(1, 6))
-        x = skew(n)
-        pf = skewlin.pfaffian_numeric(x)
-        for lam in (-2.0, 0.5, 3.0):
-            e_scale = max(
-                e_scale,
-                abs(skewlin.pfaffian_numeric(lam * x) - lam ** (n // 2) * pf)
-                / max(abs(lam ** (n // 2) * pf), 1e-300),
-            )
-    for _ in range(100):
-        x = skew(2 * int(rng.integers(1, 7)))
-        a, b = skewlin.pfaffian_exact(x), skewlin.pfaffian_numeric(x)
-        e_exact = max(e_exact, abs(a - b) / max(abs(a), 1e-300))
+    result = verify.run_suite("pfaffian", {"seed": 1})
     elapsed = time.perf_counter() - t0
-    ok = e_sq < 1e-9 and e_cong < 1e-8 and e_scale < 1e-10 and e_exact < 1e-10 and elapsed < 10.0
-    criterion(
-        4,
-        ok,
-        f"square {e_sq:.1e}, congruence {e_cong:.1e}, scaling {e_scale:.1e}, "
-        f"exact-vs-numeric {e_exact:.1e} in {elapsed:.2f}s",
-    )
+    criterion(4, result.passed and elapsed < 10.0, f"{_suite_detail(result)} in {elapsed:.2f}s")
 
 
 def test_criterion_5_hermite_suite():
-    defect = hermite.orthonormality_defect(30, 64)
-
-    worst53 = worst909 = 0.0
-    for n in range(2, 13, 2):
-        t = loggas.coefficient_tables(n)
-        pfb = skewlin.pfaffian_numeric(t.beta)
-        p = skewlin.pfaffian_poly(t.beta, t.alpha, n // 2)
-        dn = np.array([float(c) for c in loggas.dn_poly(n)])
-        lhs = np.zeros(n + 1)
-        lhs[::2] = p * pfb
-        worst53 = max(worst53, float(np.max(np.abs(lhs - dn)) / np.max(np.abs(dn))))
-
-        corner = np.zeros((n, n))
-        corner[: n - 1, : n - 1] = loggas.coefficient_tables(n - 1).beta
-        p2 = skewlin.pfaffian_poly(corner, t.alpha, n // 2)
-        rhs = np.zeros(n + 1)
-        rhs[1:] = 2.0 * np.array([float(c) for c in loggas.dn_poly(n - 1)])
-        lhs2 = np.zeros(n + 1)
-        lhs2[: 2 * p2.size : 2] = p2 * pfb
-        worst909 = max(worst909, float(np.max(np.abs(lhs2 - rhs)) / np.max(np.abs(rhs))))
-
-    recurrence_ok = True
-    for n in range(1, 40):
-        lhs_r = loggas.dn_poly(n + 1)
-        rhs_r = [0] + [2 * c for c in loggas.dn_poly(n)]
-        for i, c in enumerate(loggas.dn_poly(n - 1)):
-            rhs_r[i] += 2 * n * c
-        recurrence_ok &= lhs_r == rhs_r  # integer arithmetic: exact beats 1e-12
-
-    ok = defect < 1e-10 and worst53 < 1e-8 and worst909 < 1e-8 and recurrence_ok
-    criterion(
-        5,
-        ok,
-        f"defect {defect:.1e}, det identities {worst53:.1e}/{worst909:.1e}, recurrence exact={recurrence_ok}",
-    )
+    results = [verify.run_suite("hermite"), verify.run_suite("dpoly")]
+    criterion(5, all(r.passed for r in results), "; ".join(_suite_detail(r) for r in results))
 
 
 def test_criterion_6_energy_and_sandwiches():

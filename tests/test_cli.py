@@ -179,34 +179,73 @@ def test_sample_zero_trials_usage_error(tmp_path):
     assert run(["sample", "--n", "8", "--trials", "0", "--out", str(tmp_path)]) == 2
 
 
+# one tiny run per experiment kind: flags and --config contents, thresholds loose enough to pass
+TINY_RUNS = {
+    "smallest-gap-law": (["--n", "50", "--trials", "30", "--k-max", "2"], {"thresholds": LOOSE}),
+    "poisson-counts": (
+        ["--n", "40", "--trials", "200", "--j-max", "2"],
+        {"thresholds": {"mean_sigmas": 100.0, "fm2_sigmas": 100.0, "gof_p_min": 0.0}},
+    ),
+    "factorial-moments": (
+        ["--n", "40", "--trials", "30", "--k-max", "2"],
+        {"thresholds": {"sigmas": 100.0}},
+    ),
+    "successive-gaps": (["--n", "40", "--trials", "30"], {"thresholds": {"sigmas": 100.0}}),
+    "sampler-crosscheck": (
+        ["--n", "20", "--trials", "20"],
+        {"gap_law_trials": 200, "thresholds": {"two_sample_p_min": 0.0, "gap_law_ks_max": 1.0}},
+    ),
+    "conjecture-beta": (["--n", "40", "--beta", "2", "--trials", "30", "--k-max", "2"], {}),
+}
+
+
+def run_tiny(tmp_path, kind, extra=()):
+    flags, config = TINY_RUNS[kind]
+    cfg = tmp_path / f"{kind}.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / kind
+    args = ["experiment", kind, *flags, *extra, "--config", str(cfg), "--out", str(out)]
+    return run(args + ["--reproducible"]), out
+
+
 def test_experiment_outputs_independent_of_workers(tmp_path):
+    for kind in TINY_RUNS:
+        blobs = []
+        for workers in (1, 2):
+            code, out = run_tiny(tmp_path, kind, ["--workers", str(workers)])
+            assert code == 0, kind
+            blobs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert f"{kind}.csv" in blobs[0] and f"{kind}.json" in blobs[0]
+        assert blobs[0] == blobs[1], kind
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["experiment", "smallest-gap-law", "--sampler", "dense", "--beta", "2"],
+        ["experiment", "smallest-gap-law", "--sampler", "dense", "--scaling", "nscaled"],
+        ["sample", "--sampler", "dense", "--beta", "2"],
+        ["sample", "--sampler", "dense", "--scaling", "nscaled"],
+    ],
+)
+def test_dense_route_rejects_other_beta_and_scaling(tmp_path, args):
+    out = tmp_path / "o"
+    assert run([*args, "--n", "20", "--trials", "12", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["conjecture-beta", "sampler-crosscheck"])
+def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
+    # conjecture-beta always draws n-scaled tridiagonal spectra, the crosscheck its own three specs
+    code, _ = run_tiny(tmp_path, kind, ["--sampler", "dense", "--beta", "2"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("config", [{"bogus": 1}, {"thresholds": 5}, [1, 2]])
+def test_bad_config_is_usage_error(tmp_path, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"thresholds": LOOSE}))
-    out = tmp_path / "w"
-    blobs = []
-    for workers in (1, 2):
-        code = run(
-            [
-                "experiment",
-                "smallest-gap-law",
-                "--config",
-                str(cfg),
-                "--n",
-                "50",
-                "--trials",
-                "30",
-                "--workers",
-                str(workers),
-                "--out",
-                str(out),
-                "--reproducible",
-            ]
-        )
-        assert code == 0
-        blobs.append(
-            (
-                (out / "smallest-gap-law.csv").read_bytes(),
-                (out / "smallest-gap-law.json").read_bytes(),
-            )
-        )
-    assert blobs[0] == blobs[1]
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    args = ["experiment", "smallest-gap-law", "--config", str(cfg), "--n", "20", "--trials", "4"]
+    assert run(args + ["--out", str(out)]) == 2
+    assert not out.exists()

@@ -18,6 +18,8 @@ def test_spec_validation():
         ens.EnsembleSpec(n=10, beta=2.0, sampler=ens.SAMPLER_DENSE)
     with pytest.raises(ValueError):
         ens.EnsembleSpec(n=10, beta=2.0, scaling=ens.SCALING_UNIT)
+    with pytest.raises(ValueError):
+        ens.EnsembleSpec(n=10, scaling=ens.SCALING_NSCALED, sampler=ens.SAMPLER_DENSE)
     ens.EnsembleSpec(n=10, beta=2.0, scaling=ens.SCALING_NSCALED)
 
 

@@ -1,8 +1,5 @@
 """Experiment kinds not exercised by the acceptance module, plus serialization."""
 
-import math
-
-import numpy as np
 import pytest
 
 from rmtgaps import ensemble, gapstats
@@ -84,23 +81,31 @@ def test_crosscheck_artifacts(tmp_path):
     assert report.results["tau1_trials_each"] == 200
 
 
-def test_gap_summary_csv_roundtrip():
+def test_gap_summary_csv_roundtrip(tmp_path):
+    """Per-trial rows read back from the CSV equal the observables of the drawn spectra."""
+    window = (0.0, 2.0)
+    cfg = ExperimentConfig(
+        kind="poisson-counts",
+        n=50,
+        trials=200,
+        base_seed=3,
+        interval=window,
+        j_max=2,
+        workers=2,
+        out_dir=str(tmp_path),
+        reproducible=True,
+    )
+    run_experiment(cfg)
+    text = (tmp_path / "poisson-counts.csv").read_text()
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0] == "trial,chi,chi_tilde,lag_1,lag_2"
+    assert len(lines) == 1 + cfg.trials
     stream = ensemble.SeedStream(3)
-    s = ensemble.sample_gbeta_tridiag(50, 1.0, stream, 0)
-    summary = gapstats.summarize(s, (0.0, 2.0), k_max=2, j_max=2)
-    header = summary.csv_header()
-    row = summary.csv_row()
-    assert len(header) == len(row)
-    assert header[:2] == ["trial", "n"]
-    assert row[0] == 0 and row[1] == 50
-
-
-def test_empirical_distribution_csv_export():
-    emp = gapstats.EmpiricalDistribution.from_samples([3.0, 1.0, 2.0])
-    text = emp.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "rank,value"
-    assert [float(l.split(",")[1]) for l in lines[1:]] == [1.0, 2.0, 3.0]
+    for t in (0, 117, 199):
+        v = ensemble.sample_gbeta_tridiag(50, 1.0, stream, t).values
+        cells = [t, gapstats.chi_count(v, window), gapstats.chi_tilde_total(v, window)]
+        cells += gapstats.chi_tilde_counts(v, window, 2)
+        assert lines[1 + t] == ",".join(str(c) for c in cells)
 
 
 def test_invalid_kind_rejected():

@@ -1,6 +1,5 @@
-"""Gap observables: counting, tuple counts vs brute force, limit laws, GOF."""
+"""Gap observables: counting, limit laws, GOF."""
 
-import itertools
 import math
 
 import numpy as np
@@ -45,66 +44,6 @@ def test_chi_le_chi_tilde_property():
         assert gs.chi_count(v, a) <= gs.chi_tilde_total(v, a)
 
 
-def rho_brute(values, interval, k):
-    v = np.asarray(values)
-    n = v.size
-    lo, hi = interval
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if lo < (v[j] - v[i]) * n < hi
-    ]
-    count = 0
-    for combo in itertools.permutations(pairs, k):
-        idxs = [x for p in combo for x in p]
-        if len(set(idxs)) == 2 * k:
-            count += 1
-    return count
-
-
-def test_rho_trivial_cases():
-    # two disjoint qualifying pairs: ordered tuples in both orders
-    v = np.array([0.0, 0.1, 5.0, 5.1]) / 4.0
-    assert gs.rho_count(v, (0.0, 1.0), 2) == 2
-    # two overlapping qualifying pairs share an index: no disjoint tuple
-    v2 = np.array([0.0, 0.1, 0.2, 9.0]) / 4.0
-    assert gs.rho_count(v2, (0.05, 1.0), 2) == 0
-
-
-def test_rho_equals_chi_tilde_for_single_pair():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        v = np.sort(rng.uniform(0, 1, 10))
-        a = (0.0, rng.uniform(0.5, 3.0))
-        assert gs.rho_count(v, a, 1) == gs.chi_tilde_total(v, a)
-
-
-def test_rho_matches_brute_force_sweep():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(4, 12))
-        v = np.sort(rng.uniform(0, 1, n))
-        hi = float(rng.uniform(0.5, 3.0))
-        for k in (2, 3, 4):
-            assert gs.rho_count(v, (0.0, hi), k) == rho_brute(v, (0.0, hi), k)
-
-
-def test_rho_bounds():
-    with pytest.raises(ValueError):
-        gs.rho_count(np.array([0.0, 1.0]), (0.0, 1.0), 5)
-
-
-def test_cluster_span_cases():
-    n = 4
-    base = np.array([0.0, 1.0, 2.0, 3.0])
-    assert gs.cluster_span(base, 0.1) == 0  # all gaps far beyond 2c/n
-    near = np.array([0.0, 0.2 / n, 1.0, 2.0])
-    assert gs.cluster_span(near, 0.5) == 1
-    triple = np.array([0.0, 0.2 / n, 0.4 / n, 2.0])
-    assert gs.cluster_span(triple, 0.5) == 2
-
-
 def test_tau_values_and_monotonicity():
     assert gs.kth_gap_tau(np.array([0.0, 1.0]), 1) == pytest.approx(2**-0.5)
     eq = np.arange(5) / 5.0
@@ -123,14 +62,18 @@ def test_limit_cdf_values():
 
 
 def test_limit_cdf_monotone_and_density_match():
-    for k in (1, 2, 3, 4):
-        xs = np.linspace(0.0, 4.0, 81)
-        cdf = [gs.limiting_tau_cdf(k, x) for x in xs]
-        assert all(b >= a for a, b in zip(cdf, cdf[1:]))
-        h = 1e-5
-        for x in np.linspace(0.05, 3.0, 50):
-            num = (gs.limiting_tau_cdf(k, x + h) - gs.limiting_tau_cdf(k, x - h)) / (2 * h)
-            assert abs(num - gs.limiting_tau_pdf(k, x)) < 1e-6
+    for beta in (1.0, 2.0, 4.0):
+        for k in (1, 2, 3, 4):
+            xs = np.linspace(0.0, 4.0, 81)
+            cdf = [gs.limiting_tau_cdf(k, x, beta) for x in xs]
+            assert all(b >= a for a, b in zip(cdf, cdf[1:]))
+            h = 1e-5
+            for x in np.linspace(0.05, 3.0, 50):
+                up, down = gs.limiting_tau_cdf(k, x + h, beta), gs.limiting_tau_cdf(k, x - h, beta)
+                assert abs((up - down) / (2 * h) - gs.limiting_tau_pdf(k, x, beta)) < 1e-6
+        # median of the first gap: the target of the conjecture-beta scale fit
+        median = math.log(2.0) ** (1.0 / (beta + 1.0))
+        assert gs.limiting_tau_cdf(1, median, beta) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_intensity_values():
@@ -205,35 +148,10 @@ def test_summary_invariants_on_random_spectra():
     stream = ens.SeedStream(7)
     window = (0.0, 2.0)
     for t in range(25):
-        s = ens.sample_gbeta_tridiag(60, 1.0, stream, t)
-        summary = gs.summarize(s, window, k_max=3, j_max=2)
-        assert summary.chi <= summary.chi_tilde
-        assert summary.chi == summary.chi_tilde_by_lag[0]
-        assert np.all(np.diff(summary.tau) >= 0)
-        assert summary.chi_tilde == gs.rho_count(s.values, window, 1)
-
-
-def test_close_pair_tuple_sandwich():
-    """Falling factorial of the window count vs disjoint-tuple counts."""
-    from rmtgaps import ensemble as ens
-
-    stream = ens.SeedStream(99)
-    c1 = 20.0  # wide enough that rank clusters actually occur at this size
-    window = (0.0, c1)
-    wide = (0.0, 2 * c1)
-    checked = 0
-    for t in range(60):
-        s = ens.sample_gbeta_tridiag(40, 1.0, stream, t)
-        chi_t = gs.chi_tilde_total(s.values, window)
-        a = gs.cluster_span(s.values, c1)
-        for k in (2, 3):
-            # falling factorial; contains a zero factor whenever chi_t < k
-            ff = math.prod(chi_t - j for j in range(k)) if chi_t >= k else 0
-            rho = gs.rho_count(s.values, window, k)
-            diff = ff - rho
-            assert 0 <= diff <= k * (k - 1) * max(a - 1, 0) * max(chi_t, 0) ** (k - 1)
-            if a + 1 >= 2 * k:
-                lower = math.factorial(a + 1) // (math.factorial(a + 1 - 2 * k) * 2**k)
-                assert gs.rho_count(s.values, wide, k) >= lower
-                checked += 1
-    assert checked > 0
+        v = ens.sample_gbeta_tridiag(60, 1.0, stream, t).values
+        chi = gs.chi_count(v, window)
+        lags = gs.chi_tilde_counts(v, window, 2)
+        chi_tilde = gs.chi_tilde_total(v, window)
+        assert chi == lags[0]
+        assert chi <= sum(lags) <= chi_tilde
+        assert np.all(np.diff(gs.tau_sequence(v, 3)) >= 0)
