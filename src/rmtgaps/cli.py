@@ -119,8 +119,6 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
             base[name] = value
     if args.reproducible:
         base["reproducible"] = True
-    if "interval" in base:
-        base["interval"] = tuple(base["interval"])
     return experiments.ExperimentConfig(**base)
 
 

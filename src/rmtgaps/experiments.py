@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,21 @@ DEFAULT_THRESHOLDS = {
 _HIST_BINS = 40
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+# checks by the annotation of each ExperimentConfig field
+_VALUE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "tuple": lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_number, v)),
+    "dict": lambda v: isinstance(v, dict),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs of one experiment run, echoed verbatim into every output."""
@@ -67,6 +84,10 @@ class ExperimentConfig:
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _VALUE_CHECKS[f.type](value):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
@@ -77,9 +98,15 @@ class ExperimentConfig:
         if not lo < hi:
             raise ValueError("interval must satisfy lo < hi")
         self.interval = (float(lo), float(hi))
-        if not isinstance(self.thresholds, dict):
-            raise ValueError("thresholds must be a mapping")
-        merged = dict(DEFAULT_THRESHOLDS.get(self.kind, {}))
+        defaults = DEFAULT_THRESHOLDS.get(self.kind, {})
+        for key, value in self.thresholds.items():
+            if isinstance(defaults.get(key), dict):
+                ok = isinstance(value, dict) and all(map(_is_number, value.values()))
+            else:
+                ok = key not in defaults or _is_number(value)
+            if not ok:
+                raise ValueError(f"threshold {key!r} has the wrong type: {value!r}")
+        merged = dict(defaults)
         merged.update(self.thresholds)
         self.thresholds = merged
         # built here so a spec the ensemble rejects fails before any trial runs
@@ -190,21 +217,19 @@ _PARTS = {
 }
 
 
-def _part_rows(cfg: ExperimentConfig, part: str, lo: int, hi: int) -> list:
-    """Rows of trials lo..hi-1; a part other than the kind itself is named in each row."""
+def _part_rows(cfg: ExperimentConfig, part: str, lo: int, hi: int):
+    """Yield the rows of trials lo..hi-1; a part other than the kind itself is named in each row."""
     spec, observe = cfg.specs[part], _PARTS[part][1]
     stream = ensemble.SeedStream(cfg.base_seed)
     label = {} if part == cfg.kind else {"part": part}
-    return [
-        {**label, "trial": t, **observe(cfg, ensemble.sample(spec, stream, t).values)}
-        for t in range(lo, hi)
-    ]
+    for t in range(lo, hi):
+        yield {**label, "trial": t, **observe(cfg, ensemble.sample(spec, stream, t).values)}
 
 
 def _pool_worker(args):
     # top level, and given a part name rather than a table entry, so pools can pickle it
     cfg_dict, part, lo, hi = args
-    return _part_rows(ExperimentConfig(**cfg_dict), part, lo, hi)
+    return list(_part_rows(ExperimentConfig(**cfg_dict), part, lo, hi))
 
 
 def _parallel_rows(cfg: ExperimentConfig, part, total: int) -> list:
@@ -458,9 +483,11 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport
     return report
 
 
-def _write_rows(path: Path, cfg: ExperimentConfig, rows: list) -> None:
-    header = list(rows[0].keys())
-    rows = ([r[h] for h in header] for r in rows)
+def _write_rows(path: Path, cfg: ExperimentConfig, rows) -> None:
+    rows = iter(rows)
+    first = next(rows)
+    header = list(first.keys())
+    rows = ([r[h] for h in header] for r in chain([first], rows))
     reports.write_csv(path, cfg.echo_dict(), __version__, header, rows, cfg.reproducible)
 
 

@@ -362,64 +362,128 @@ def _constrained_value(n: int, constraint, l: int, level: int) -> float:
     substituted by its own variable u (unit Jacobian).  This keeps the |u|
     kink and the window endpoints exactly on grid nodes, which a raw
     indicator on the position grid cannot do.
+
+    The integrand is a product of factors, exp(-q_s x_s^2 / 2) for each
+    position and |x_s - x_t|^(q_s q_t) for each pair.  A base position
+    depends on its own axis, a gap position on its partner's axis and its
+    own gap axis, and a factor on the axes of its positions.  The last two
+    axes form a slab (rows i, columns j); the other axes are outer and are
+    summed point by point.  Each factor is evaluated only where its axes
+    vary:
+
+    - slab axes only: once per sign pattern, into the slab product F;
+    - outer axes only: a scalar folded into the outer weight;
+    - outer axes and one slab axis: a row or column vector;
+    - outer axes and both slab axes (the core): at every outer point, in
+      place in one reused buffer, then summed against G = F w_j.
+
+    Without a core, each outer point adds row @ F @ col instead.  The row
+    vector carries the weights w_i, and the column weights w_j go into G or
+    into the column vector.
+
+    The discrete sum is that of the full tensor grid; only the order of the
+    floating-point products and sums differs.
     """
     k = constraint.k if constraint is not None else l
     m = n - l
     kappa = k - l
-    q = np.array([2.0] * l + [1.0] * (m - l))
+    q = [2.0] * l + [1.0] * (m - l)
 
     base_cells = _BASE_CELLS * 2**level
     gap_cells = _GAP_CELLS * 2**level
     base_grid, base_w = _trapezoid_axis(-_BOX_HALF, _BOX_HALF, base_cells)
+    if m == 1:
+        return float(np.dot(base_w, np.exp(-0.5 * q[0] * base_grid**2)))
 
     if kappa == 0:
         gap_axes = []
+        patterns = [()]
     elif isinstance(constraint.bound, (tuple, list)):
         a, b = float(constraint.bound[0]), float(constraint.bound[1])
-        gap_axes = [_trapezoid_axis(a, b, gap_cells)] * kappa  # signs flip (a,b) to (-b,-a)
+        gap_axes = [_trapezoid_axis(a, b, gap_cells)] * kappa
+        patterns = product((1.0, -1.0), repeat=kappa)  # -1 flips (a,b) to (-b,-a)
     else:
         c = float(constraint.bound)
         gap_axes = [_trapezoid_axis(-c, c, 2 * gap_cells)] * kappa
+        patterns = [(1.0,) * kappa]
 
     nbase = m - kappa
+    pos_axes = [(s,) for s in range(nbase)]
+    pos_axes += [(nbase - kappa + t, nbase + t) for t in range(kappa)]
+    slab = {m - 2, m - 1}
+    parts = {"slab": [], "outer": [], "row": [], "col": [], "core": []}
+    # (s, None) is the Gaussian factor of position s, (s, t) the pair factor
+    pairs = [(s, t) for s in range(m) for t in range(s + 1, m)]
+    for s, t in [(s, None) for s in range(m)] + pairs:
+        axes = set(pos_axes[s]) | set(pos_axes[t] if t is not None else ())
+        if axes <= slab:
+            part = "slab"
+        elif not axes & slab:
+            part = "outer"
+        elif slab <= axes:
+            part = "core"  # always a pair: one position spans two axes at most
+        else:
+            part = "row" if m - 2 in axes else "col"
+        parts[part].append((s, t))
+    slab_pos = [s for s in range(m) if set(pos_axes[s]) <= slab]
+    outer_pos = [s for s in range(m) if s not in slab_pos]
 
-    def integrand(lams):
-        val = np.exp(sum(-0.5 * q[s] * lams[s] ** 2 for s in range(m)))
-        for s in range(m):
-            for t in range(s + 1, m):
-                val = val * np.abs(lams[s] - lams[t]) ** (q[s] * q[t])
+    def positions(coords, which):
+        # a gap position is its partner's coordinate plus its own gap
+        return {s: coords[s] if s < nbase else coords[pos_axes[s][0]] + coords[s] for s in which}
+
+    def product_of(factors, lam):
+        quad = [s for s, t in factors if t is None]
+        val = np.exp(sum(-0.5 * q[s] * lam[s] ** 2 for s in quad)) if quad else 1.0
+        for s, t in factors:
+            if t is not None:
+                d = np.abs(lam[s] - lam[t])
+                val = val * (d if q[s] * q[t] == 1.0 else d ** (q[s] * q[t]))
         return val
 
     def accumulate(signs):
-        axes = [(base_grid, base_w)] * nbase
-        for i, (g, w) in enumerate(gap_axes):
-            axes.append((signs[i] * g, w) if signs else (g, w))
-        if m == 1:
-            lam = [axes[0][0]]
-            return float(np.dot(axes[0][1], integrand(lam)))
-        outer = axes[:-2]
-        (gi, wi), (gj, wj) = axes[-2:]
+        grids = [base_grid] * nbase + [sg * g for sg, (g, _) in zip(signs, gap_axes)]
+        weights = [base_w] * nbase + [w for _, w in gap_axes]
+        wi, wj = weights[-2:]
+        coords = grids[:-2] + [grids[-2][:, None], grids[-1][None, :]]
+        lam = positions(coords, slab_pos)
+        shape = (wi.size, wj.size)
+        F = np.broadcast_to(product_of(parts["slab"], lam), shape)
+        # the row weights ride in the row vector; the column weights go into G
+        # once when a core is summed against it, else into the column vector
+        G = F * wj if parts["core"] else None
+        core = np.empty(shape) if parts["core"] else None
+        spare = np.empty(shape) if len(parts["core"]) > 1 else None
         total = 0.0
-        for idx in product(*[range(g.size) for g, _ in outer]):
-            coords = []
+        for idx in product(*[range(g.size) for g in grids[:-2]]):
             wout = 1.0
-            for ax, i in zip(outer, idx):
-                coords.append(ax[0][i])
-                wout *= ax[1][i]
-            flat = coords + [gi[:, None], gj[None, :]]
-            # positions: first nbase are base values, then base + u per gap
-            lams = flat[:nbase]
-            for t in range(kappa):
-                partner = nbase - kappa + t
-                lams.append(lams[partner] + flat[nbase + t])
-            f = integrand(lams)
-            total += wout * float(wi @ f @ wj)
+            for ax, i in enumerate(idx):
+                coords[ax] = grids[ax][i]
+                wout *= weights[ax][i]
+            lam.update(positions(coords, outer_pos))
+            wout *= product_of(parts["outer"], lam)
+            row = wi * np.ravel(product_of(parts["row"], lam)) if parts["row"] else wi
+            col = np.ravel(product_of(parts["col"], lam)) if parts["col"] else None
+            if not parts["core"]:
+                total += wout * float(row @ F @ (wj if col is None else wj * col))
+                continue
+            for f, (s, t) in enumerate(parts["core"]):
+                buf = spare if f else core
+                np.subtract(lam[s], lam[t], out=buf)
+                np.abs(buf, out=buf)
+                if q[s] * q[t] != 1.0:
+                    buf **= q[s] * q[t]
+                if f:
+                    core *= buf
+            if col is None:
+                per_row = np.einsum("ij,ij->i", G, core)
+            else:
+                per_row = np.einsum("ij,ij,j->i", G, core, col)
+            total += wout * float(row @ per_row)
         return total
 
-    if kappa == 0 or not isinstance(constraint.bound, (tuple, list)):
-        return accumulate(())
     total = 0.0
-    for signs in product((1.0, -1.0), repeat=kappa):
+    for signs in patterns:
         total += accumulate(signs)
     return total
 

@@ -39,13 +39,14 @@ def metadata_lines(config: dict, version: str, reproducible: bool) -> list:
 
 
 def write_csv(path, config: dict, version: str, header, rows, reproducible: bool) -> None:
+    """Write line by line, so ``rows`` may be a generator that is never held whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    out = metadata_lines(config, version, reproducible)
-    out.append(",".join(header))
-    for row in rows:
-        out.append(",".join(format_cell(v) for v in row))
-    path.write_text("\n".join(out) + "\n")
+    with path.open("w") as fh:
+        for line in metadata_lines(config, version, reproducible) + [",".join(header)]:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(format_cell(v) for v in row) + "\n")
 
 
 def write_json(path, payload: dict) -> None:

@@ -123,22 +123,20 @@ def test_criterion_3_quadrature_crosscheck():
     criterion(3, rel1 < 1e-3 and rel2 < 1e-3, f"two-charge value off by {rel1:.2e} / {rel2:.2e}")
 
 
-def _suite_detail(result) -> str:
-    return ", ".join(
-        f"{check} {value:.1e}{'' if ok else ' FAILED'}" for check, value, _, ok in result.rows
-    )
+def _suite_detail(rows) -> str:
+    return ", ".join(f"{check} {value:.1e}{'' if ok else ' FAILED'}" for check, value, _, ok in rows)
 
 
 def test_criterion_4_pfaffian_property_suite():
     t0 = time.perf_counter()
     result = verify.run_suite("pfaffian", {"seed": 1})
     elapsed = time.perf_counter() - t0
-    criterion(4, result.passed and elapsed < 10.0, f"{_suite_detail(result)} in {elapsed:.2f}s")
+    criterion(4, result.passed and elapsed < 10.0, f"{_suite_detail(result.rows)} in {elapsed:.2f}s")
 
 
 def test_criterion_5_hermite_suite():
     results = [verify.run_suite("hermite"), verify.run_suite("dpoly")]
-    criterion(5, all(r.passed for r in results), "; ".join(_suite_detail(r) for r in results))
+    criterion(5, all(r.passed for r in results), "; ".join(_suite_detail(r.rows) for r in results))
 
 
 def test_criterion_6_energy_and_sandwiches():
@@ -150,17 +148,11 @@ def test_criterion_6_energy_and_sandwiches():
         lhs, rhs = hermite.derivative_energy_pair(roots, m + 1)
         violations += lhs > rhs
 
-    sandwich_ok = True
-    detail = []
-    for n in (2, 3):
-        upper = loggas.integrate_constrained(n, loggas.GapConstraint(1, 1.0), 1)
-        for c in (0.05, 0.1):
-            ratio = loggas.integrate_constrained(n, loggas.GapConstraint(1, c), 0) / upper
-            lo, hi = (1 - n * c * c) * c * c, c * c
-            inside = lo * (1 - 1e-3) <= ratio <= hi * (1 + 1e-3)
-            sandwich_ok &= inside
-            detail.append(f"n={n},c={c}:{ratio:.3e} in [{lo:.3e},{hi:.3e}]")
-    criterion(6, violations == 0 and sandwich_ok, f"violations={violations}; " + "; ".join(detail))
+    lemma12 = verify.run_suite("lemma12", {"tolerance": 1e-3})
+    sandwiches = [r for r in lemma12.rows if r[0].startswith("gap_sandwich_")]
+    sandwich_ok = len(sandwiches) == 4 and all(ok for *_, ok in sandwiches)
+    detail = f"violations={violations}; {_suite_detail(sandwiches)}"
+    criterion(6, violations == 0 and sandwich_ok, detail)
 
 
 # ---------------------------------------------------------------------------

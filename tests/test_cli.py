@@ -241,7 +241,10 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
     assert code == 0
 
 
-@pytest.mark.parametrize("config", [{"bogus": 1}, {"thresholds": 5}, [1, 2]])
+@pytest.mark.parametrize(
+    "config",
+    [{"bogus": 1}, {"thresholds": 5}, [1, 2], {"interval": 5}, {"thresholds": {"ks_max": 5}}],
+)
 def test_bad_config_is_usage_error(tmp_path, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -3,6 +3,8 @@ and the direct constrained quadrature oracle."""
 
 import math
 import time
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -253,3 +255,55 @@ def test_constrained_quadrature_refinement_failure():
 def test_constrained_quadrature_dimension_cap():
     with pytest.raises(ValueError):
         integrate_constrained(5, GapConstraint(1, 0.1), 0)
+
+
+def _full_tensor_value(n, constraint, l, level):
+    """The constrained integrand evaluated on the whole tensor grid at once."""
+    k = constraint.k if constraint is not None else l
+    m, kappa = n - l, k - l
+    q = [2.0] * l + [1.0] * (m - l)
+    box = loggas._BOX_HALF
+    base_grid, base_w = loggas._trapezoid_axis(-box, box, loggas._BASE_CELLS * 2**level)
+    gap_cells = loggas._GAP_CELLS * 2**level
+    if kappa == 0:
+        gap, patterns = (None, None), [()]
+    elif isinstance(constraint.bound, tuple):
+        gap = loggas._trapezoid_axis(*constraint.bound, gap_cells)
+        patterns = product((1.0, -1.0), repeat=kappa)
+    else:
+        gap = loggas._trapezoid_axis(-constraint.bound, constraint.bound, 2 * gap_cells)
+        patterns = [(1.0,) * kappa]
+    nbase = m - kappa
+    total = 0.0
+    for signs in patterns:
+        grids = [base_grid] * nbase + [sg * gap[0] for sg in signs]
+        weights = reduce(np.multiply.outer, [base_w] * nbase + [gap[1]] * kappa)
+        mesh = list(np.meshgrid(*grids, indexing="ij"))
+        lams = mesh[:nbase] + [mesh[nbase - kappa + t] + mesh[nbase + t] for t in range(kappa)]
+        f = np.exp(sum(-0.5 * q[s] * lams[s] ** 2 for s in range(m)))
+        for s in range(m):
+            for t in range(s + 1, m):
+                f = f * np.abs(lams[s] - lams[t]) ** (q[s] * q[t])
+        total += float(np.sum(weights * f))
+    return total
+
+
+# (n, k, l) over m = n - l = 1..4 and kappa = k - l = 0, 1, 2 with m >= 2 kappa;
+# k = 0 stands for constraint=None.  (5, 2, 1) and (6, 2, 2) put double
+# charges inside m = 4.
+_SHAPES = [
+    (1, 0, 0), (2, 1, 1), (2, 0, 0), (3, 1, 1), (2, 1, 0), (3, 0, 0),
+    (4, 2, 2), (3, 1, 0), (4, 2, 1), (4, 0, 0), (4, 1, 0), (4, 2, 0),
+    (5, 2, 1), (5, 3, 1), (6, 2, 2), (6, 3, 2), (5, 2, 2),
+]
+
+
+@pytest.mark.parametrize("n,k,l", _SHAPES)
+def test_constrained_value_matches_full_tensor(monkeypatch, n, k, l):
+    monkeypatch.setattr(loggas, "_BASE_CELLS", 6)
+    monkeypatch.setattr(loggas, "_GAP_CELLS", 2)
+    bounds = [None] if k == 0 else [0.3, (0.2, 0.7)]
+    for bound, level in product(bounds, (0, 1)):
+        constraint = None if bound is None else GapConstraint(k, bound)
+        fast = loggas._constrained_value(n, constraint, l, level)
+        assert fast == pytest.approx(_full_tensor_value(n, constraint, l, level), rel=1e-12)
