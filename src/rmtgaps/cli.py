@@ -74,51 +74,36 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None, help="base seed")
+    sub.add_argument(
+        "--seed", type=int, default=None, dest="base_seed", metavar="SEED", help="base seed"
+    )
     sub.add_argument("--interval", type=_interval, default=None, metavar="LO,HI")
     sub.add_argument("--k-max", type=int, default=None)
     sub.add_argument("--j-max", type=int, default=None)
     sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--out", default=None, dest="out_dir", metavar="OUT", help="output directory")
     sub.add_argument("--sampler", choices=("dense", "tridiagonal"), default=None)
     sub.add_argument("--scaling", choices=("unit", "nscaled"), default=None)
     sub.add_argument("--c0", type=float, default=None, help="window top for successive-gaps")
-    sub.add_argument("--reproducible", action="store_true")
-
-
-_FLAG_TO_FIELD = {
-    "n": "n",
-    "beta": "beta",
-    "trials": "trials",
-    "seed": "base_seed",
-    "interval": "interval",
-    "k_max": "k_max",
-    "j_max": "j_max",
-    "workers": "workers",
-    "out": "out_dir",
-    "sampler": "sampler",
-    "scaling": "scaling",
-    "c0": "c0",
-}
+    sub.add_argument("--reproducible", action="store_true", default=None)
 
 
 def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
+    fields = [f.name for f in dataclasses.fields(experiments.ExperimentConfig)]
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
             raise UsageError("--config must hold a JSON object")
-        fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
-        unknown = sorted(set(base) - fields)
+        unknown = sorted(set(base) - set(fields))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     base["kind"] = kind
-    for flag, name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
+    # each config flag's dest is the field it sets; an absent flag is None
+    for name in fields:
+        value = getattr(args, name, None)
         if value is not None:
             base[name] = value
-    if args.reproducible:
-        base["reproducible"] = True
     return experiments.ExperimentConfig(**base)
 
 

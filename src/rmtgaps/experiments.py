@@ -100,10 +100,12 @@ class ExperimentConfig:
         self.interval = (float(lo), float(hi))
         defaults = DEFAULT_THRESHOLDS.get(self.kind, {})
         for key, value in self.thresholds.items():
-            if isinstance(defaults.get(key), dict):
+            if key not in defaults:
+                raise ValueError(f"unknown threshold {key!r} for {self.kind}")
+            if isinstance(defaults[key], dict):
                 ok = isinstance(value, dict) and all(map(_is_number, value.values()))
             else:
-                ok = key not in defaults or _is_number(value)
+                ok = _is_number(value)
             if not ok:
                 raise ValueError(f"threshold {key!r} has the wrong type: {value!r}")
         merged = dict(defaults)

@@ -13,7 +13,7 @@ throughout this package is
 whose two sides are computed through entirely different routes: Gamma
 products on the right, Pfaffian polynomial coefficients on the left.
 
-Tiny systems (up to four live coordinates) are also integrated directly by
+Tiny systems (up to three live coordinates) are also integrated directly by
 tensor-grid quadrature with gap constraints, providing an independent oracle
 for the partition values and for the gap-window sandwich inequalities.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -363,128 +362,60 @@ def _constrained_value(n: int, constraint, l: int, level: int) -> float:
     kink and the window endpoints exactly on grid nodes, which a raw
     indicator on the position grid cannot do.
 
-    The integrand is a product of factors, exp(-q_s x_s^2 / 2) for each
-    position and |x_s - x_t|^(q_s q_t) for each pair.  A base position
-    depends on its own axis, a gap position on its partner's axis and its
-    own gap axis, and a factor on the axes of its positions.  The last two
-    axes form a slab (rows i, columns j); the other axes are outer and are
-    summed point by point.  Each factor is evaluated only where its axes
-    vary:
-
-    - slab axes only: once per sign pattern, into the slab product F;
-    - outer axes only: a scalar folded into the outer weight;
-    - outer axes and one slab axis: a row or column vector;
-    - outer axes and both slab axes (the core): at every outer point, in
-      place in one reused buffer, then summed against G = F w_j.
-
-    Without a core, each outer point adds row @ F @ col instead.  The row
-    vector carries the weights w_i, and the column weights w_j go into G or
-    into the column vector.
-
-    The discrete sum is that of the full tensor grid; only the order of the
-    floating-point products and sums differs.
+    With m <= 3 at most one gap is constrained, and it pairs the last two
+    positions r = m-2 and s = m-1: x_s = x_r + u.  Rows run over x_r and
+    columns over a window, the base grid when no gap is constrained (then
+    x_s is the column coordinate).  Per window the slab product
+    F = exp(g_r + g_s) |x_r - x_s|^(q_r q_s), with g = -q x^2 / 2, is formed
+    once.  For m = 3 each grid point x_0 adds its own Gaussian times
+    row @ F @ col, where the pair factors of x_0 with x_r and x_s are the
+    row and column vectors; with a gap, |x_0 - x_s| varies over the whole
+    slab and is evaluated in one reused buffer, summed against G = F w.
     """
     k = constraint.k if constraint is not None else l
     m = n - l
-    kappa = k - l
     q = [2.0] * l + [1.0] * (m - l)
 
-    base_cells = _BASE_CELLS * 2**level
     gap_cells = _GAP_CELLS * 2**level
-    base_grid, base_w = _trapezoid_axis(-_BOX_HALF, _BOX_HALF, base_cells)
+    base_grid, base_w = _trapezoid_axis(-_BOX_HALF, _BOX_HALF, _BASE_CELLS * 2**level)
     if m == 1:
         return float(np.dot(base_w, np.exp(-0.5 * q[0] * base_grid**2)))
 
-    if kappa == 0:
-        gap_axes = []
-        patterns = [()]
+    if k == l:
+        windows = [(base_grid, base_w)]
     elif isinstance(constraint.bound, (tuple, list)):
-        a, b = float(constraint.bound[0]), float(constraint.bound[1])
-        gap_axes = [_trapezoid_axis(a, b, gap_cells)] * kappa
-        patterns = product((1.0, -1.0), repeat=kappa)  # -1 flips (a,b) to (-b,-a)
+        g, w = _trapezoid_axis(float(constraint.bound[0]), float(constraint.bound[1]), gap_cells)
+        windows = [(g, w), (-g, w)]  # gaps in (a, b) and in (-b, -a)
     else:
         c = float(constraint.bound)
-        gap_axes = [_trapezoid_axis(-c, c, 2 * gap_cells)] * kappa
-        patterns = [(1.0,) * kappa]
+        windows = [_trapezoid_axis(-c, c, 2 * gap_cells)]
 
-    nbase = m - kappa
-    pos_axes = [(s,) for s in range(nbase)]
-    pos_axes += [(nbase - kappa + t, nbase + t) for t in range(kappa)]
-    slab = {m - 2, m - 1}
-    parts = {"slab": [], "outer": [], "row": [], "col": [], "core": []}
-    # (s, None) is the Gaussian factor of position s, (s, t) the pair factor
-    pairs = [(s, t) for s in range(m) for t in range(s + 1, m)]
-    for s, t in [(s, None) for s in range(m)] + pairs:
-        axes = set(pos_axes[s]) | set(pos_axes[t] if t is not None else ())
-        if axes <= slab:
-            part = "slab"
-        elif not axes & slab:
-            part = "outer"
-        elif slab <= axes:
-            part = "core"  # always a pair: one position spans two axes at most
-        else:
-            part = "row" if m - 2 in axes else "col"
-        parts[part].append((s, t))
-    slab_pos = [s for s in range(m) if set(pos_axes[s]) <= slab]
-    outer_pos = [s for s in range(m) if s not in slab_pos]
-
-    def positions(coords, which):
-        # a gap position is its partner's coordinate plus its own gap
-        return {s: coords[s] if s < nbase else coords[pos_axes[s][0]] + coords[s] for s in which}
-
-    def product_of(factors, lam):
-        quad = [s for s, t in factors if t is None]
-        val = np.exp(sum(-0.5 * q[s] * lam[s] ** 2 for s in quad)) if quad else 1.0
-        for s, t in factors:
-            if t is not None:
-                d = np.abs(lam[s] - lam[t])
-                val = val * (d if q[s] * q[t] == 1.0 else d ** (q[s] * q[t]))
-        return val
-
-    def accumulate(signs):
-        grids = [base_grid] * nbase + [sg * g for sg, (g, _) in zip(signs, gap_axes)]
-        weights = [base_w] * nbase + [w for _, w in gap_axes]
-        wi, wj = weights[-2:]
-        coords = grids[:-2] + [grids[-2][:, None], grids[-1][None, :]]
-        lam = positions(coords, slab_pos)
-        shape = (wi.size, wj.size)
-        F = np.broadcast_to(product_of(parts["slab"], lam), shape)
-        # the row weights ride in the row vector; the column weights go into G
-        # once when a core is summed against it, else into the column vector
-        G = F * wj if parts["core"] else None
-        core = np.empty(shape) if parts["core"] else None
-        spare = np.empty(shape) if len(parts["core"]) > 1 else None
-        total = 0.0
-        for idx in product(*[range(g.size) for g in grids[:-2]]):
-            wout = 1.0
-            for ax, i in enumerate(idx):
-                coords[ax] = grids[ax][i]
-                wout *= weights[ax][i]
-            lam.update(positions(coords, outer_pos))
-            wout *= product_of(parts["outer"], lam)
-            row = wi * np.ravel(product_of(parts["row"], lam)) if parts["row"] else wi
-            col = np.ravel(product_of(parts["col"], lam)) if parts["col"] else None
-            if not parts["core"]:
-                total += wout * float(row @ F @ (wj if col is None else wj * col))
-                continue
-            for f, (s, t) in enumerate(parts["core"]):
-                buf = spare if f else core
-                np.subtract(lam[s], lam[t], out=buf)
-                np.abs(buf, out=buf)
-                if q[s] * q[t] != 1.0:
-                    buf **= q[s] * q[t]
-                if f:
-                    core *= buf
-            if col is None:
-                per_row = np.einsum("ij,ij->i", G, core)
-            else:
-                per_row = np.einsum("ij,ij,j->i", G, core, col)
-            total += wout * float(row @ per_row)
-        return total
-
+    r, s = m - 2, m - 1
+    x_r = base_grid[:, None]
     total = 0.0
-    for signs in patterns:
-        total += accumulate(signs)
+    for grid, w in windows:
+        x_s = grid[None, :] if k == l else x_r + grid[None, :]
+        F = np.exp(-0.5 * q[r] * x_r**2 - 0.5 * q[s] * x_s**2)
+        F *= np.abs(x_r - x_s) ** (q[r] * q[s])
+        if m == 2:
+            total += float(base_w @ F @ w)
+            continue
+        if k != l:
+            G = F * w
+            core = np.empty_like(F)
+        acc = 0.0
+        for x0, w0 in zip(base_grid, base_w):
+            wout = w0 * np.exp(-0.5 * q[0] * x0**2)
+            row = base_w * np.abs(x0 - base_grid) ** (q[0] * q[r])
+            if k == l:
+                acc += wout * float(row @ F @ (w * np.abs(x0 - grid) ** (q[0] * q[s])))
+                continue
+            np.subtract(x0, x_s, out=core)
+            np.abs(core, out=core)
+            if q[0] * q[s] != 1.0:  # |d| ** 1.0 == |d|; skip the pass
+                core **= q[0] * q[s]
+            acc += wout * float(row @ np.einsum("ij,ij->i", G, core))
+        total += acc
     return total
 
 
@@ -502,11 +433,15 @@ def integrate_constrained(
     into double charges, over the set where the remaining k-l designated
     gaps fall in the constraint window.  Grid doubling continues until the
     relative change drops below ``stop_rel``.
+
+    The live coordinates number m = n - l <= 3.  At m = 4 two coordinates
+    would be summed point by point outside the grid slab, and one level
+    alone takes seconds; every refinement level costs 16 times more.
     """
     k = constraint.k if constraint is not None else l
     m = n - l
-    if m > 4:
-        raise ValueError("direct quadrature limited to n - l <= 4")
+    if m > 3:
+        raise ValueError("direct quadrature limited to n - l <= 3 live coordinates")
     if not 0 <= l <= k:
         raise ValueError("need 0 <= l <= k")
     if m < 2 * (k - l):

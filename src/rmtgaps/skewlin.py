@@ -26,7 +26,7 @@ _TRIM_REL = 1e-12
 
 
 class InterpolationError(RuntimeError):
-    """Polynomial recovery failed even after re-choosing the nodes."""
+    """Polynomial recovery gave non-finite coefficients."""
 
 
 @dataclass(frozen=True)
@@ -125,37 +125,25 @@ def pfaffian_numeric(x) -> float:
     return pf
 
 
-def _chebyshev_nodes(count: int, variant: int) -> np.ndarray:
-    if variant == 0:
-        i = np.arange(count)
-        return np.cos(np.pi * (2 * i + 1) / (2 * count))
-    # fallback set: Lobatto points, distinct from the Gauss set
-    if count == 1:
-        return np.array([0.5])
-    return np.cos(np.pi * np.arange(count) / (count - 1))
-
-
 def _interpolate(values_at, degree: int, scale: float = 1.0) -> np.ndarray:
-    """Solve the Vandermonde system at Chebyshev nodes, one retry allowed.
+    """Solve the Vandermonde system at the Chebyshev-Gauss nodes.
 
     The substitution zeta = scale * w balances the extreme coefficients
     (constant and leading terms are Pfaffians of very different magnitude);
     solving in w on [-1, 1] keeps the Vandermonde well conditioned and the
-    coefficients are rescaled afterwards.
+    coefficients are rescaled afterwards.  The nodes are distinct, so the
+    system is never singular; non-finite values give non-finite
+    coefficients, which no other node set would repair.
     """
-    for variant in (0, 1):
-        nodes = _chebyshev_nodes(degree + 1, variant)
-        vals = np.array([values_at(scale * w) for w in nodes])
-        vander = np.vander(nodes, degree + 1, increasing=True)
-        try:
-            coeffs = np.linalg.solve(vander, vals)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(coeffs)):
-            # trim interpolation noise while magnitudes are still balanced
-            trimmed = _trim_trailing(coeffs)
-            return trimmed / scale ** np.arange(trimmed.size)
-    raise InterpolationError("interpolation system singular for both node sets")
+    i = np.arange(degree + 1)
+    nodes = np.cos(np.pi * (2 * i + 1) / (2 * (degree + 1)))
+    vals = np.array([values_at(scale * w) for w in nodes])
+    coeffs = np.linalg.solve(np.vander(nodes, degree + 1, increasing=True), vals)
+    if not np.all(np.isfinite(coeffs)):
+        raise InterpolationError("interpolated Pfaffian coefficients are not finite")
+    # trim interpolation noise while magnitudes are still balanced
+    trimmed = _trim_trailing(coeffs)
+    return trimmed / scale ** np.arange(trimmed.size)
 
 
 def _balance_scale(end0: float, end1: float, degree: int) -> float:

@@ -129,25 +129,20 @@ def test_experiment_failure_exit_code(tmp_path):
 
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 200, "trials": 10, "thresholds": LOOSE}))
+    config = {"n": 200, "trials": 10, "base_seed": 1, "reproducible": True, "thresholds": LOOSE}
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    code = run(
-        [
-            "experiment",
-            "smallest-gap-law",
-            "--config",
-            str(cfg),
-            "--n",
-            "40",
-            "--out",
-            str(out),
-            "--reproducible",
-        ]
-    )
+    args = ["experiment", "smallest-gap-law", "--config", str(cfg), "--n", "40", "--seed", "7"]
+    code = run(args + ["--out", str(out)])
     assert code == 0
     report = json.loads((out / "smallest-gap-law.json").read_text())
     assert report["config"]["n"] == 40  # flag wins
+    assert report["config"]["base_seed"] == 7
+    assert report["config"]["out_dir"] == str(out)
     assert report["config"]["trials"] == 10  # config file survives
+    # an absent --reproducible leaves the file's true in place
+    assert report["config"]["reproducible"] is True
+    assert report["wall_clock_seconds"] is None
 
 
 def test_sample_writes_sorted_spectra(tmp_path):
@@ -243,12 +238,20 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
 
 @pytest.mark.parametrize(
     "config",
-    [{"bogus": 1}, {"thresholds": 5}, [1, 2], {"interval": 5}, {"thresholds": {"ks_max": 5}}],
+    [
+        {"bogus": 1},
+        {"thresholds": 5},
+        [1, 2],
+        {"interval": 5},
+        {"thresholds": {"ks_max": 5}},
+        {"thresholds": {"ks_maxx": {"1": 1e-9}}},  # misspelt; must not fall back to the default
+    ],
 )
 def test_bad_config_is_usage_error(tmp_path, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    args = ["experiment", "smallest-gap-law", "--config", str(cfg), "--n", "20", "--trials", "4"]
+    # enough trials that a config the check lets through runs to a verdict and writes files
+    args = ["experiment", "smallest-gap-law", "--config", str(cfg), "--n", "20", "--trials", "12"]
     assert run(args + ["--out", str(out)]) == 2
     assert not out.exists()

@@ -188,19 +188,3 @@ def test_bordered_matches_direct_construction():
         direct = pfaffian_exact(m)
         val = float(np.polyval(coeffs[::-1], t))
         assert val == pytest.approx(direct, rel=1e-9)
-
-
-def test_laplace_expansion_on_pairing_tables():
-    for n in range(4, 13, 2):
-        t = loggas.coefficient_tables(n)
-        full = pfaffian_poly(t.beta, t.alpha, n // 2)
-        corner = np.zeros((n, n))
-        corner[: n - 1, : n - 1] = loggas.coefficient_tables(n - 1).beta
-        reduced = pfaffian_poly(corner, t.alpha, n // 2)
-        small = pfaffian_poly(t.beta[: n - 2, : n - 2], t.alpha[: n - 2, : n - 2], n // 2 - 1)
-        rhs = np.zeros(n // 2 + 1)
-        rhs[: reduced.size] += reduced
-        rhs[: small.size] += loggas.beta_coeff(n - 1, n) * small
-        lhs = np.zeros(n // 2 + 1)
-        lhs[: full.size] = full
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(lhs))
