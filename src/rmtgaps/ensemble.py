@@ -23,7 +23,7 @@ import scipy.linalg
 from . import prng
 
 SCALING_UNIT = "unit"  # weight e^{-sum x^2/2}: spacings of order 1/n
-SCALING_NSCALED = "nscaled"  # weight e^{-n beta sum x^2/2}: spectrum divided by sqrt(n)
+SCALING_NSCALED = "nscaled"  # weight e^{-n sum x^2/2} |Delta|^beta: spectrum divided by sqrt(n)
 
 SAMPLER_DENSE = "dense"
 SAMPLER_TRIDIAGONAL = "tridiagonal"

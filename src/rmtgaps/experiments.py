@@ -46,6 +46,14 @@ DEFAULT_THRESHOLDS = {
 
 _HIST_BINS = 40
 
+# fewest trials a row part's statistic can be fitted on; any other part needs one
+_MIN_TRIALS = {
+    "smallest-gap-law": gapstats.KS_MIN_SAMPLES,
+    "conjecture-beta": gapstats.KS_MIN_SAMPLES,
+    "gap_law_n2": gapstats.KS_MIN_SAMPLES,
+    "poisson-counts": gapstats.GOF_MIN_SAMPLES,
+}
+
 
 def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
@@ -90,26 +98,35 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("interval must satisfy lo < hi")
         self.interval = (float(lo), float(hi))
+        for part, count in self.parts().items():
+            need = _MIN_TRIALS.get(part, 1)
+            if count < need:
+                raise ValueError(f"{part} needs at least {need} trials, got {count}")
         defaults = DEFAULT_THRESHOLDS.get(self.kind, {})
+        merged = dict(defaults)
         for key, value in self.thresholds.items():
             if key not in defaults:
                 raise ValueError(f"unknown threshold {key!r} for {self.kind}")
-            if isinstance(defaults[key], dict):
+            default = defaults[key]
+            if isinstance(default, dict):
                 ok = isinstance(value, dict) and all(map(_is_number, value.values()))
             else:
                 ok = _is_number(value)
             if not ok:
                 raise ValueError(f"threshold {key!r} has the wrong type: {value!r}")
-        merged = dict(defaults)
-        merged.update(self.thresholds)
+            if isinstance(default, dict):
+                # keyed by k: one this run reports, or one the defaults carry
+                known = {str(k) for k in range(1, self.k_max + 1)} | set(default)
+                if not set(value) <= known:
+                    raise ValueError(f"threshold {key!r} keys must be among {sorted(known)}")
+                value = {**default, **value}
+            merged[key] = value
         self.thresholds = merged
         # built here so a spec the ensemble rejects fails before any trial runs
         self.specs = {part: _PARTS[part][0](self) for part in self.parts()}

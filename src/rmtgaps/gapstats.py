@@ -7,7 +7,7 @@ density 2 x^{2k-1} e^{-x^2} / (k-1)!.  The same law with x^2 replaced by
 x^{beta+1} is the conjectured shape for other Dyson indices beta.
 
 Goodness-of-fit helpers (one- and two-sample Kolmogorov-Smirnov with the
-asymptotic p-value, chi-square Poisson fit, factorial moments) operate on
+asymptotic p-value, chi-square Poisson fit, falling factorials) operate on
 plain arrays so they can be reused on any experiment output.
 """
 
@@ -20,6 +20,10 @@ import numpy as np
 from scipy.special import chdtrc
 
 TAU_NORMALIZATION = 2.0**-1.5
+
+# fewest samples the one-sample KS test and the chi-square Poisson fit accept
+KS_MIN_SAMPLES = 10
+GOF_MIN_SAMPLES = 200
 
 
 def _values(spectrum) -> np.ndarray:
@@ -180,8 +184,8 @@ def ks_test(samples: EmpiricalDistribution, cdf) -> tuple:
     """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
     v = samples.values
     n = v.size
-    if n < 10:
-        raise ValueError("need at least 10 samples")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples")
     f = np.array([cdf(x) for x in v])
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
@@ -213,11 +217,6 @@ def falling_factorial(count_samples, k: int) -> np.ndarray:
     return prod
 
 
-def factorial_moment(count_samples, k: int) -> float:
-    """Mean over trials of c*(c-1)*...*(c-k+1)."""
-    return float(np.mean(falling_factorial(count_samples, k)))
-
-
 def _poisson_pmf(kk: np.ndarray, mu: float) -> np.ndarray:
     return np.exp(kk * math.log(mu) - mu - np.array([math.lgamma(x + 1) for x in kk]))
 
@@ -232,8 +231,8 @@ def poisson_gof(count_samples, mu: float) -> float:
     if mu <= 0:
         raise ValueError("mu must be positive")
     counts = np.asarray(count_samples, dtype=np.int64)
-    if counts.size < 200:
-        raise ValueError("need at least 200 samples")
+    if counts.size < GOF_MIN_SAMPLES:
+        raise ValueError(f"need at least {GOF_MIN_SAMPLES} samples")
     kmax = int(np.max(counts))
     support = np.arange(kmax + 1, dtype=np.float64)
     expected = counts.size * _poisson_pmf(support, mu)

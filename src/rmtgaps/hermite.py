@@ -35,12 +35,6 @@ class HermitePoly:
     degree: int
     coefficients: tuple  # ascending powers, Python ints
 
-    def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + float(c)
-        return acc
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -111,13 +105,6 @@ def phi_rows(jmax: int, x) -> np.ndarray:
     if not 0 <= jmax <= MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
     return _recurrence_rows(jmax, x, gaussian=True)
-
-
-def phi_eval(j: int, x):
-    """Oscillator wave function phi_j at x (scalar or array)."""
-    rows = phi_rows(j, x)
-    out = rows[j]
-    return float(out[0]) if np.isscalar(x) else out
 
 
 def gauss_hermite(m: int) -> QuadratureRule:

@@ -29,7 +29,7 @@ import numpy as np
 from .hermite import phi_rows
 from .skewlin import pfaffian_bordered, pfaffian_poly
 
-MAX_PFAFFIAN_N = 40
+MAX_PFAFFIAN_N = 60
 
 _SQRT2 = math.sqrt(2.0)
 _PI4 = math.pi ** 0.25
@@ -281,8 +281,8 @@ def partition_ratio(n: int, k: int) -> float:
 def partition_general(n1: int, n2: int) -> float:
     """Absolute generalized partition function G_{n1,n2}.
 
-    n1 unit charges and n2 double charges; n1 + 2*n2 <= 40.  Assembled in
-    log space from n1! n2! c_n and the pairing coefficient.
+    n1 unit charges and n2 double charges; n1 + 2*n2 <= MAX_PFAFFIAN_N.
+    Assembled in log space from n1! n2! c_n and the pairing coefficient.
     """
     if n1 < 0 or n2 < 0 or n1 + n2 < 1:
         raise ValueError("need nonnegative counts with at least one particle")

@@ -6,9 +6,10 @@ Three evaluation routes with increasing reach:
   practical up to dimension 12 where it serves as the ground-truth oracle;
 * :func:`pfaffian_numeric` runs skew-symmetric Gaussian elimination
   (Parlett-Reid) with partial pivoting and is the production path;
-* :func:`pfaffian_poly` / :func:`pfaffian_bordered` recover the polynomial
-  zeta -> Pf(B + zeta*A) by evaluating the numeric Pfaffian at Chebyshev
-  nodes and solving the interpolation system.
+* :func:`pfaffian_poly` / :func:`pfaffian_bordered` give the polynomial
+  zeta -> Pf(B + zeta*A) in closed form from the eigenvalues of M^{-1} N,
+  where M is the better-conditioned end of the pencil: they come in equal
+  pairs, and one linear factor per pair times Pf(M) is the polynomial.
 
 All functions accept a :class:`SkewMatrix` or any square array-like, which
 is canonicalized on ingest.
@@ -21,12 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_EXACT_DIM = 12
-
-_TRIM_REL = 1e-12
-
-
-class InterpolationError(RuntimeError):
-    """Polynomial recovery gave non-finite coefficients."""
 
 
 @dataclass(frozen=True)
@@ -125,43 +120,33 @@ def pfaffian_numeric(x) -> float:
     return pf
 
 
-def _interpolate(values_at, degree: int, scale: float = 1.0) -> np.ndarray:
-    """Solve the Vandermonde system at the Chebyshev-Gauss nodes.
+def _pencil_poly(b: np.ndarray, a: np.ndarray, max_degree: int) -> np.ndarray:
+    """Coefficients of zeta -> Pf(B + zeta*A) for an even skew pencil.
 
-    The substitution zeta = scale * w balances the extreme coefficients
-    (constant and leading terms are Pfaffians of very different magnitude);
-    solving in w on [-1, 1] keeps the Vandermonde well conditioned and the
-    coefficients are rescaled afterwards.  The nodes are distinct, so the
-    system is never singular; non-finite values give non-finite
-    coefficients, which no other node set would repair.
+    With M the better-conditioned end and N the other, Pf(M + zeta*N) =
+    Pf(M) * prod(1 + nu*zeta), one nu from each equal pair of eigenvalues of
+    M^{-1} N (the square of the product is det(I + zeta*M^{-1} N)).  Pairs
+    are matched by nearest distance, which also keeps complex pairs
+    together, and each factor takes the mean of its pair.  The A end gives
+    the coefficients in reverse order.  Truncated to ``max_degree``, with
+    trailing exact zeros removed.
     """
-    i = np.arange(degree + 1)
-    nodes = np.cos(np.pi * (2 * i + 1) / (2 * (degree + 1)))
-    vals = np.array([values_at(scale * w) for w in nodes])
-    coeffs = np.linalg.solve(np.vander(nodes, degree + 1, increasing=True), vals)
-    if not np.all(np.isfinite(coeffs)):
-        raise InterpolationError("interpolated Pfaffian coefficients are not finite")
-    # trim interpolation noise while magnitudes are still balanced
-    trimmed = _trim_trailing(coeffs)
-    return trimmed / scale ** np.arange(trimmed.size)
-
-
-def _balance_scale(end0: float, end1: float, degree: int) -> float:
-    """Geometric balance |c_0/c_deg|^(1/deg), clamped; 1.0 when degenerate."""
-    if degree <= 0 or end0 == 0.0 or end1 == 0.0:
-        return 1.0
-    s = abs(end0 / end1) ** (1.0 / degree)
-    return min(max(s, 1e-6), 1e6)
-
-
-def _trim_trailing(coeffs: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(coeffs)) if coeffs.size else 0.0
-    if scale == 0.0:
-        return coeffs[:0]
-    keep = coeffs.size
-    while keep > 0 and abs(coeffs[keep - 1]) <= _TRIM_REL * scale:
-        keep -= 1
-    return coeffs[:keep]
+    cond_b, cond_a = np.linalg.cond(b), np.linalg.cond(a)
+    flip = cond_a < cond_b
+    if min(cond_a, cond_b) * np.finfo(np.float64).eps >= 1.0:
+        raise ValueError("both ends of the Pfaffian pencil are singular")
+    m, n = (a, b) if flip else (b, a)
+    vals = list(np.linalg.eigvals(np.linalg.solve(m, n)))
+    nus = []
+    while vals:
+        v = vals.pop()
+        j = min(range(len(vals)), key=lambda i: abs(vals[i] - v))
+        nus.append(0.5 * (v + vals.pop(j)))
+    # prod(x + nu) in descending powers of x is prod(1 + nu*zeta) in ascending powers of zeta
+    coeffs = pfaffian_numeric(m) * np.real(np.atleast_1d(np.poly(-np.array(nus))))
+    coeffs = (coeffs[::-1] if flip else coeffs)[: max_degree + 1]
+    nonzero = np.flatnonzero(coeffs)
+    return coeffs[: nonzero[-1] + 1 if nonzero.size else 0]
 
 
 def pfaffian_poly(b, a, max_degree: int) -> np.ndarray:
@@ -169,7 +154,7 @@ def pfaffian_poly(b, a, max_degree: int) -> np.ndarray:
 
     B and A must share an even dimension; the polynomial degree is at most
     dim/2, and the returned array is truncated to ``max_degree`` with
-    trailing numerical zeros removed.
+    trailing exact zeros removed.  One end of the pencil must be nonsingular.
     """
     bm = _as_skew_array(b)
     am = _as_skew_array(a)
@@ -178,19 +163,17 @@ def pfaffian_poly(b, a, max_degree: int) -> np.ndarray:
     n = bm.shape[0]
     if n % 2 != 0:
         raise ValueError("Pfaffian polynomial requires even dimension")
-    half = n // 2
-    if max_degree > half:
+    if max_degree > n // 2:
         raise ValueError("max_degree exceeds dim/2")
-    scale = _balance_scale(pfaffian_numeric(bm), pfaffian_numeric(am), half)
-    coeffs = _interpolate(lambda t: pfaffian_numeric(bm + t * am), half, scale)
-    return coeffs[: max_degree + 1]
+    return _pencil_poly(bm, am, max_degree)
 
 
 def pfaffian_bordered(b, a, v, max_degree: int) -> np.ndarray:
     """Coefficients of zeta -> Pf of the bordered matrix, ascending powers.
 
     For odd-dimensional B, A and a border vector v, evaluates the Pfaffian
-    of ``[[B + zeta*A, v], [-v^T, 0]]`` as a polynomial in zeta.
+    of ``[[B + zeta*A, v], [-v^T, 0]]`` as a polynomial in zeta.  A nonzero
+    v needs B bordered by v to be nonsingular (a nonzero constant term).
     """
     bm = _as_skew_array(b)
     am = _as_skew_array(a)
@@ -202,21 +185,17 @@ def pfaffian_bordered(b, a, v, max_degree: int) -> np.ndarray:
     vec = np.asarray(v, dtype=np.float64)
     if vec.shape != (n,):
         raise ValueError("border vector length must match the dimension")
-    degree = (n + 1) // 2
-    if max_degree > degree:
+    if max_degree > (n + 1) // 2:
         raise ValueError("max_degree exceeds (dim+1)/2")
-
-    def bordered(base: np.ndarray) -> np.ndarray:
-        m = np.zeros((n + 1, n + 1))
-        m[:n, :n] = base
-        m[:n, n] = vec
-        m[n, :n] = -vec
-        return m
-
-    # the border column carries no zeta, so the ends of the polynomial are
-    # the bordered Pfaffians of B alone and of A alone (degree (n-1)/2)
-    scale = _balance_scale(
-        pfaffian_numeric(bordered(bm)), pfaffian_numeric(bordered(am)), (n - 1) // 2
-    )
-    coeffs = _interpolate(lambda t: pfaffian_numeric(bordered(bm + t * am)), degree, scale)
-    return coeffs[: max_degree + 1]
+    if not vec.any():
+        # the border row is zero in every bordered matrix
+        return np.zeros(0)
+    # pad to an even pencil: B takes the border, A a zero border
+    bb = np.zeros((n + 1, n + 1))
+    bb[:n, :n] = bm
+    bb[:n, n] = vec
+    bb[n, :n] = -vec
+    ab = np.zeros((n + 1, n + 1))
+    ab[:n, :n] = am
+    # the border carries no zeta, so the degree is at most (n-1)/2
+    return _pencil_poly(bb, ab, min(max_degree, (n - 1) // 2))

@@ -253,7 +253,7 @@ def _suite_dpoly(options) -> SuiteResult:
 
     err53 = 0.0
     err909 = 0.0
-    for n in range(2, 13, 2):
+    for n in range(2, loggas.MAX_PFAFFIAN_N + 1, 2):
         t = loggas.coefficient_tables(n)
         pfb = skewlin.pfaffian_numeric(t.beta)
         p = _pad(skewlin.pfaffian_poly(t.beta, t.alpha, n // 2), n // 2 + 1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rmtgaps import cli
+from rmtgaps import cli, experiments, loggas
 
 LOOSE = {
     "ks_max": {"1": 0.5, "2": 0.5, "3": 0.5},
@@ -45,6 +45,11 @@ def test_verify_identity_suite_writes_table(tmp_path):
 
 def test_verify_rejects_bad_n_max():
     assert run(["verify", "lemma9", "--n-max", "0"]) == 2
+    assert run(["verify", "lemma9", "--n-max", str(loggas.MAX_PFAFFIAN_N + 1)]) == 2
+
+
+def test_verify_lemma9_holds_up_to_the_advertised_limit():
+    assert run(["verify", "lemma9", "--n-max", str(loggas.MAX_PFAFFIAN_N)]) == 0
 
 
 def test_unknown_suite_is_usage_error():
@@ -245,13 +250,25 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
         {"interval": 5},
         {"thresholds": {"ks_max": 5}},
         {"thresholds": {"ks_maxx": {"1": 1e-9}}},  # misspelt; must not fall back to the default
+        {"thresholds": {"ks_max": {"01": 0.5}}},  # misspelt k
+        {"trials": 4},  # too few for the KS fit
+        {"kind": "poisson-counts", "trials": 150},  # too few for the chi-square fit
+        {"kind": "sampler-crosscheck", "gap_law_trials": 4},  # too few for the 2x2 KS fit
     ],
 )
-def test_bad_config_is_usage_error(tmp_path, config):
+def test_bad_config_is_usage_error(tmp_path, monkeypatch, config):
+    def no_trials(*args):
+        raise AssertionError("trials ran for a bad config")
+
+    monkeypatch.setattr(experiments, "_parallel_rows", no_trials)
+    kind = "smallest-gap-law"
+    if isinstance(config, dict):
+        kind = config.get("kind", kind)
+        # enough trials that a config the check lets through would run to a verdict
+        config = {"trials": 12, **config}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    # enough trials that a config the check lets through runs to a verdict and writes files
-    args = ["experiment", "smallest-gap-law", "--config", str(cfg), "--n", "20", "--trials", "12"]
+    args = ["experiment", kind, "--config", str(cfg), "--n", "20"]
     assert run(args + ["--out", str(out)]) == 2
     assert not out.exists()

@@ -3,7 +3,7 @@
 import pytest
 
 from rmtgaps import ensemble, gapstats
-from rmtgaps.experiments import ExperimentConfig, run_experiment
+from rmtgaps.experiments import DEFAULT_THRESHOLDS, ExperimentConfig, run_experiment
 
 
 def test_factorial_moments_small_run():
@@ -106,6 +106,22 @@ def test_gap_summary_csv_roundtrip(tmp_path):
         cells = [t, gapstats.chi_count(v, window), gapstats.chi_tilde_total(v, window)]
         cells += gapstats.chi_tilde_counts(v, window, 2)
         assert lines[1 + t] == ",".join(str(c) for c in cells)
+
+
+def test_partial_ks_max_keeps_default_checks():
+    cfg = ExperimentConfig(
+        kind="smallest-gap-law",
+        n=20,
+        trials=12,
+        k_max=3,
+        thresholds={"ks_max": {"1": 0.5}},
+    )
+    results = run_experiment(cfg, write_files=False).results
+    assert results["tau_1"]["ks_max"] == 0.5
+    default = DEFAULT_THRESHOLDS["smallest-gap-law"]["ks_max"]
+    for k in (2, 3):
+        assert results[f"tau_{k}"]["ks_max"] == default[str(k)]
+        assert "ks_passed" in results[f"tau_{k}"]
 
 
 def test_invalid_kind_rejected():

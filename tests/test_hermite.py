@@ -16,7 +16,6 @@ from rmtgaps.hermite import (
     pair_integral_band,
     pair_integral_offsets,
     pair_integral_root_boxes,
-    phi_eval,
     phi_rows,
     roots_to_wave,
     wave_derivative,
@@ -61,12 +60,12 @@ def test_degree_bounds():
 
 
 def test_phi_values():
-    assert phi_eval(0, 0.0) == pytest.approx(math.pi**-0.25, abs=1e-15)
-    assert phi_eval(1, 0.0) == 0.0
+    assert phi_rows(0, 0.0)[0] == pytest.approx(math.pi**-0.25, abs=1e-15)
+    assert phi_rows(1, 0.0)[1] == 0.0
     direct = (2**5 * math.factorial(5) * math.sqrt(math.pi)) ** -0.5 * math.exp(
         -0.845
-    ) * hermite_poly(5)(1.3)
-    assert phi_eval(5, 1.3) == pytest.approx(direct, abs=1e-12)
+    ) * np.polyval(hermite_poly(5).coefficients[::-1], 1.3)
+    assert phi_rows(5, 1.3)[5] == pytest.approx(direct, abs=1e-12)
 
 
 def test_phi_uniform_bound_high_degree():

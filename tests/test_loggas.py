@@ -151,7 +151,7 @@ def test_partition_preconditions():
     with pytest.raises(ValueError):
         partition_ratio(3, 2)
     with pytest.raises(ValueError):
-        partition_ratio(44, 1)
+        partition_ratio(loggas.MAX_PFAFFIAN_N + 1, 1)
     with pytest.raises(ValueError):
         partition_general(0, 0)
 

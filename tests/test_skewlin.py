@@ -188,3 +188,22 @@ def test_bordered_matches_direct_construction():
         direct = pfaffian_exact(m)
         val = float(np.polyval(coeffs[::-1], t))
         assert val == pytest.approx(direct, rel=1e-9)
+
+
+def test_poly_matches_exact_on_generic_pencils():
+    rng = np.random.default_rng(10)
+    pencils = []
+    for n in range(2, 13, 2):
+        for _ in range(5):
+            pencils.append((random_skew(rng, n), random_skew(rng, n)))
+    singular = random_skew(rng, 6)
+    singular[5, :] = singular[:, 5] = 0.0
+    pencils.append((singular, random_skew(rng, 6)))
+    # the pairing must keep complex eigenvalue pairs of B^{-1} A together
+    imag = [np.abs(np.linalg.eigvals(np.linalg.solve(b, a)).imag).max() for b, a in pencils[:-1]]
+    assert max(imag) > 1e-3
+    for b, a in pencils:
+        coeffs = pfaffian_poly(b, a, b.shape[0] // 2)
+        for t in (-0.7, 0.2, 1.3):
+            scale = np.polyval(np.abs(coeffs[::-1]), abs(t))
+            assert abs(np.polyval(coeffs[::-1], t) - pfaffian_exact(b + t * a)) < 1e-10 * scale
