@@ -20,7 +20,7 @@ import time
 import traceback
 from pathlib import Path
 
-from . import __version__, experiments, reports, verify
+from . import __version__, experiments, loggas, reports, verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -92,7 +92,10 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
     fields = [f.name for f in dataclasses.fields(experiments.ExperimentConfig)]
     base = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        try:
+            base = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            raise UsageError(str(exc)) from exc
         if not isinstance(base, dict):
             raise UsageError("--config must hold a JSON object")
         unknown = sorted(set(base) - set(fields))
@@ -104,14 +107,19 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
         value = getattr(args, name, None)
         if value is not None:
             base[name] = value
-    return experiments.ExperimentConfig(**base)
+    try:
+        return experiments.ExperimentConfig(**base)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     options = {"seed": args.seed}
     if args.n_max is not None:
-        if args.n_max < 2:
-            raise UsageError("--n-max must be at least 2")
+        if not 2 <= args.n_max <= loggas.MAX_PFAFFIAN_N:
+            raise UsageError(f"--n-max must be in 2..{loggas.MAX_PFAFFIAN_N}")
         options["n_max"] = args.n_max
     if args.cases is not None:
         if args.cases < 1:
@@ -172,30 +180,21 @@ def _cmd_sample(args) -> int:
 
 
 class UsageError(Exception):
-    pass
+    """Bad input from the command line or a config file: exit code 2."""
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"verify": _cmd_verify, "experiment": _cmd_experiment, "sample": _cmd_sample}
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        parser.error(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return commands[args.command](args)
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
-    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

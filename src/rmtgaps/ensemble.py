@@ -1,6 +1,6 @@
 """Seeded eigenvalue samplers for the Gaussian orthogonal and beta ensembles.
 
-Two routes to the same spectral law at beta = 1:
+Two routes to the same spectral law at beta = 1, both drawn by :func:`sample`:
 
 * the dense route symmetrizes an iid Gaussian matrix, giving diagonal
   variance 1 and off-diagonal variance 1/2, the classical realization of the
@@ -49,7 +49,8 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """What to sample: size, Dyson index, scaling convention and route."""
+    """What to sample: size, Dyson index, scaling convention and route.
+    Every limit of a draw, the size bound of each route included, is checked here."""
 
     n: int
     beta: float = 1.0
@@ -69,6 +70,9 @@ class EnsembleSpec:
             raise ValueError("dense sampler is defined in the unit scaling")
         if self.scaling == SCALING_UNIT and self.beta != 1.0:
             raise ValueError("unit scaling is defined for beta = 1 only")
+        limit = MAX_DENSE_N if self.sampler == SAMPLER_DENSE else MAX_TRIDIAG_N
+        if not 2 <= self.n <= limit:
+            raise ValueError(f"{self.sampler} sampler supports 2 <= n <= {limit}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,6 @@ class Spectrum:
 
     def __post_init__(self):
         self.values.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def eigen_tridiagonal(diag, offdiag) -> np.ndarray:
@@ -130,53 +130,33 @@ def _with_resampling(draw, seed_stream: SeedStream, trial_index: int):
     raise SamplingError("persistent eigenvalue ties", trial_index)
 
 
-def sample_goe_dense(n: int, seed_stream: SeedStream, trial_index: int) -> Spectrum:
-    """Spectrum of (A + A^T)/2 with A an iid standard Gaussian matrix."""
-    if not 2 <= n <= MAX_DENSE_N:
-        raise ValueError(f"dense sampler supports 2 <= n <= {MAX_DENSE_N}")
-
-    def draw(key: int) -> np.ndarray:
-        a = prng.normals(key, 0, n * n).reshape(n, n)
-        return np.linalg.eigvalsh(0.5 * (a + a.T))
-
-    values, resamples = _with_resampling(draw, seed_stream, trial_index)
-    spec = EnsembleSpec(n=n, beta=1.0, scaling=SCALING_UNIT, sampler=SAMPLER_DENSE)
-    return Spectrum(values, spec, seed_stream.base_seed, trial_index, resamples)
-
-
-def sample_gbeta_tridiag(
-    n: int,
-    beta: float,
-    seed_stream: SeedStream,
-    trial_index: int,
-    scaling: str = SCALING_UNIT,
-) -> Spectrum:
-    """Tridiagonal beta-ensemble spectrum.
-
-    Diagonal entries are N(0,2)/sqrt(2); the i-th sub-diagonal entry is a
-    chi variate with (n-i)*beta degrees of freedom divided by sqrt(2),
-    realized as sqrt(Gamma((n-i)*beta/2, 1)).  Under the n-scaled convention
-    the spectrum is divided by sqrt(n).
-    """
-    if not 2 <= n <= MAX_TRIDIAG_N:
-        raise ValueError(f"tridiagonal sampler supports 2 <= n <= {MAX_TRIDIAG_N}")
-    spec = EnsembleSpec(n=n, beta=beta, scaling=scaling, sampler=SAMPLER_TRIDIAGONAL)
-    shapes = 0.5 * beta * np.arange(n - 1, 0, -1, dtype=np.float64)
-
-    def draw(key: int) -> np.ndarray:
-        diag = prng.normals(key, 0, n)
-        off = np.sqrt(prng.gammas(key, 0, n - 1, shapes))
-        values = eigen_tridiagonal(diag, off)
-        if scaling == SCALING_NSCALED:
-            values = values / np.sqrt(n)
-        return values
-
-    values, resamples = _with_resampling(draw, seed_stream, trial_index)
-    return Spectrum(values, spec, seed_stream.base_seed, trial_index, resamples)
-
-
 def sample(spec: EnsembleSpec, seed_stream: SeedStream, trial_index: int) -> Spectrum:
-    """Dispatch on the sampler route declared in the spec."""
+    """Spectrum of one trial, drawn by the route the spec declares.
+
+    Dense: the spectrum of (A + A^T)/2 with A an iid standard Gaussian matrix.
+
+    Tridiagonal: diagonal entries are N(0,2)/sqrt(2); the i-th sub-diagonal
+    entry is a chi variate with (n-i)*beta degrees of freedom divided by
+    sqrt(2), realized as sqrt(Gamma((n-i)*beta/2, 1)).  Under the n-scaled
+    convention the spectrum is divided by sqrt(n).
+    """
+    n = spec.n
     if spec.sampler == SAMPLER_DENSE:
-        return sample_goe_dense(spec.n, seed_stream, trial_index)
-    return sample_gbeta_tridiag(spec.n, spec.beta, seed_stream, trial_index, spec.scaling)
+
+        def draw(key: int) -> np.ndarray:
+            a = prng.normals(key, 0, n * n).reshape(n, n)
+            return np.linalg.eigvalsh(0.5 * (a + a.T))
+
+    else:
+        shapes = 0.5 * spec.beta * np.arange(n - 1, 0, -1, dtype=np.float64)
+
+        def draw(key: int) -> np.ndarray:
+            diag = prng.normals(key, 0, n)
+            off = np.sqrt(prng.gammas(key, 0, n - 1, shapes))
+            values = eigen_tridiagonal(diag, off)
+            if spec.scaling == SCALING_NSCALED:
+                values = values / np.sqrt(n)
+            return values
+
+    values, resamples = _with_resampling(draw, seed_stream, trial_index)
+    return Spectrum(values, spec, seed_stream.base_seed, trial_index, resamples)

@@ -100,10 +100,26 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # built first so a spec the ensemble rejects fails before any trial runs
+        self.specs = {part: _PARTS[part][0](self) for part in self.parts()}
         lo, hi = self.interval
-        if not lo < hi:
-            raise ValueError("interval must satisfy lo < hi")
+        if not 0 <= lo < hi:
+            raise ValueError("interval must satisfy 0 <= lo < hi")
         self.interval = (float(lo), float(hi))
+        if not self.c0 > 0:
+            raise ValueError("c0 must be positive")
+        # the largest order each kind reads and its bound; a gap order indexes the n - 1 gaps
+        orders = {
+            "smallest-gap-law": ("k_max", self.k_max, self.n - 1),
+            "conjecture-beta": ("k_max", self.k_max, self.n - 1),
+            "poisson-counts": ("j_max", self.j_max, self.n - 1),
+            "successive-gaps": ("its lag", 2, self.n - 1),
+            "factorial-moments": ("k_max", self.k_max, math.inf),
+        }
+        if self.kind in orders:
+            name, order, top = orders[self.kind]
+            if not 1 <= order <= top:
+                raise ValueError(f"{self.kind} needs {name} in 1..{top}, got {order}")
         for part, count in self.parts().items():
             need = _MIN_TRIALS.get(part, 1)
             if count < need:
@@ -128,8 +144,6 @@ class ExperimentConfig:
                 value = {**default, **value}
             merged[key] = value
         self.thresholds = merged
-        # built here so a spec the ensemble rejects fails before any trial runs
-        self.specs = {part: _PARTS[part][0](self) for part in self.parts()}
 
     def parts(self) -> dict:
         """Row part -> trial count.  Only the crosscheck has several parts."""
@@ -141,16 +155,12 @@ class ExperimentConfig:
             }
         return {self.kind: self.trials}
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["interval"] = list(self.interval)
-        return d
-
     def echo_dict(self) -> dict:
         """Config as echoed into artifacts: everything that determines the
         results.  Worker count only schedules the same deterministic trials,
         so it is excluded to keep outputs byte-identical across pool sizes."""
-        d = self.to_dict()
+        d = asdict(self)
+        d["interval"] = list(self.interval)
         del d["workers"]
         return d
 
@@ -178,6 +188,13 @@ class RunReport:
 
 def _run_spec(cfg: ExperimentConfig) -> ensemble.EnsembleSpec:
     return ensemble.EnsembleSpec(cfg.n, cfg.beta, cfg.scaling, cfg.sampler)
+
+
+def _goe_spec(cfg: ExperimentConfig) -> ensemble.EnsembleSpec:
+    # the GOE laws hold for gaps normalized by n, which is the unit scaling's gap scale
+    if cfg.scaling != ensemble.SCALING_UNIT:
+        raise ValueError(f"{cfg.kind} checks a GOE law, drawn in the unit scaling only")
+    return _run_spec(cfg)
 
 
 def _taus(cfg, v) -> dict:
@@ -209,14 +226,14 @@ def _tau1(cfg, v) -> dict:
 
 # row part -> (config -> spec of its spectra, (config, sorted eigenvalues) -> row fields)
 _PARTS = {
-    "smallest-gap-law": (_run_spec, _taus),
-    "poisson-counts": (_run_spec, _window_counts),
+    "smallest-gap-law": (_goe_spec, _taus),
+    "poisson-counts": (_goe_spec, _window_counts),
     "factorial-moments": (
-        _run_spec,
+        _goe_spec,
         lambda cfg, v: {"chi_tilde": gapstats.chi_tilde_total(v, cfg.interval)},
     ),
     "successive-gaps": (
-        _run_spec,
+        _goe_spec,
         lambda cfg, v: {"lag2_count": gapstats.chi_tilde_counts(v, (0.0, cfg.c0), 2)[1]},
     ),
     "conjecture-beta": (
@@ -247,21 +264,20 @@ def _part_rows(cfg: ExperimentConfig, part: str, lo: int, hi: int):
 
 def _pool_worker(args):
     # top level, and given a part name rather than a table entry, so pools can pickle it
-    cfg_dict, part, lo, hi = args
-    return list(_part_rows(ExperimentConfig(**cfg_dict), part, lo, hi))
+    cfg, part, lo, hi = args
+    return list(_part_rows(cfg, part, lo, hi))
 
 
-def _parallel_rows(cfg: ExperimentConfig, part, total: int) -> list:
-    """Chunked parallel map over trial indices; order-stable concatenation."""
+def _parallel_rows(cfg: ExperimentConfig) -> list:
+    """Rows of every part, in cfg.parts() and trial order; all chunks share one pool."""
+    chunks = []
+    for part, total in cfg.parts().items():
+        size = max(1, math.ceil(total / (cfg.workers * 4)))
+        chunks += [(cfg, part, lo, min(lo + size, total)) for lo in range(0, total, size)]
     if cfg.workers == 1:
-        return _pool_worker((cfg.to_dict(), part, 0, total))
-    chunk = max(1, math.ceil(total / (cfg.workers * 4)))
-    args = [
-        (cfg.to_dict(), part, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)
-    ]
+        return [row for chunk in chunks for row in _pool_worker(chunk)]
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        parts = list(pool.map(_pool_worker, args))
-    return [row for p in parts for row in p]
+        return [row for rows in pool.map(_pool_worker, chunks) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +287,11 @@ def _parallel_rows(cfg: ExperimentConfig, part, total: int) -> list:
 def _mean_se(x: np.ndarray) -> tuple:
     se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
     return float(np.mean(x)), se
+
+
+def _count_bins(counts) -> int:
+    """One histogram bin per count value, and at least two."""
+    return max(int(np.max(counts)) + 1, 2)
 
 
 def _fit_gap_law(samples, k: int, beta: float, title: str, xlabel: str) -> tuple:
@@ -347,7 +368,7 @@ def _agg_poisson_counts(cfg, rows):
     svgs = {
         "counts.svg": svgplot.histogram_svg(
             chi,
-            int(np.max(chi)) + 1 if np.max(chi) > 0 else 2,
+            _count_bins(chi),
             title=f"window counts, n={cfg.n}, A={list(cfg.interval)}",
             xlabel="count",
         )
@@ -358,8 +379,7 @@ def _agg_poisson_counts(cfg, rows):
 def _agg_factorial_moments(cfg, rows):
     thr = cfg.thresholds
     chi_tilde = np.array([r["chi_tilde"] for r in rows], dtype=np.float64)
-    lo, hi = cfg.interval
-    base = (hi * hi - lo * lo) / 8.0
+    base = gapstats.poisson_intensity(cfg.interval)
     results = {"trials": len(rows)}
     passed = True
     for k in range(1, cfg.k_max + 1):
@@ -376,7 +396,7 @@ def _agg_factorial_moments(cfg, rows):
     svgs = {
         "chi_tilde.svg": svgplot.histogram_svg(
             chi_tilde,
-            int(np.max(chi_tilde)) + 1 if np.max(chi_tilde) > 0 else 2,
+            _count_bins(chi_tilde),
             title=f"all-lag window counts, n={cfg.n}",
             xlabel="count",
         )
@@ -386,7 +406,8 @@ def _agg_factorial_moments(cfg, rows):
 
 def _agg_successive_gaps(cfg, rows):
     thr = cfg.thresholds
-    hits = np.array([1.0 if r["lag2_count"] > 0 else 0.0 for r in rows])
+    counts = np.array([r["lag2_count"] for r in rows])
+    hits = (counts > 0).astype(np.float64)
     p_hat = float(np.mean(hits))
     se = math.sqrt(p_hat * (1.0 - p_hat) / hits.size)
     bound = cfg.c0**4 / (8.0 * cfg.n)
@@ -401,8 +422,8 @@ def _agg_successive_gaps(cfg, rows):
     }
     svgs = {
         "lag2_counts.svg": svgplot.histogram_svg(
-            np.array([r["lag2_count"] for r in rows]),
-            max(int(max(r["lag2_count"] for r in rows)) + 1, 2),
+            counts,
+            _count_bins(counts),
             title=f"lag-2 window counts, n={cfg.n}, c0={cfg.c0}",
             xlabel="count",
         )
@@ -479,7 +500,7 @@ _AGGREGATORS = {
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport:
     """Run all trials, aggregate, optionally write CSV/JSON/SVG artifacts."""
     t0 = time.perf_counter()
-    rows = [row for part, total in cfg.parts().items() for row in _parallel_rows(cfg, part, total)]
+    rows = _parallel_rows(cfg)
 
     results, passed, svgs = _AGGREGATORS[cfg.kind](cfg, rows)
     wall = None if cfg.reproducible else time.perf_counter() - t0

@@ -2,11 +2,12 @@
 
 import json
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from rmtgaps import cli, experiments, loggas
+from rmtgaps import cli, ensemble, experiments, loggas
 
 LOOSE = {
     "ks_max": {"1": 0.5, "2": 0.5, "3": 0.5},
@@ -46,6 +47,11 @@ def test_verify_identity_suite_writes_table(tmp_path):
 def test_verify_rejects_bad_n_max():
     assert run(["verify", "lemma9", "--n-max", "0"]) == 2
     assert run(["verify", "lemma9", "--n-max", str(loggas.MAX_PFAFFIAN_N + 1)]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--cases", "0"]])
+def test_verify_rejects_bad_seed_and_cases(flags):
+    assert run(["verify", "pfaffian", *flags]) == 2
 
 
 def test_verify_lemma9_holds_up_to_the_advertised_limit():
@@ -226,11 +232,17 @@ def test_experiment_outputs_independent_of_workers(tmp_path):
         ["experiment", "smallest-gap-law", "--sampler", "dense", "--scaling", "nscaled"],
         ["sample", "--sampler", "dense", "--beta", "2"],
         ["sample", "--sampler", "dense", "--scaling", "nscaled"],
+        # the GOE-law kinds normalize gaps by n, the gap scale of the unit scaling only
+        ["experiment", "smallest-gap-law", "--beta", "2", "--scaling", "nscaled"],
+        ["experiment", "poisson-counts", "--scaling", "nscaled"],
+        ["experiment", "factorial-moments", "--scaling", "nscaled"],
+        ["experiment", "successive-gaps", "--scaling", "nscaled"],
     ],
 )
 def test_dense_route_rejects_other_beta_and_scaling(tmp_path, args):
     out = tmp_path / "o"
-    assert run([*args, "--n", "20", "--trials", "12", "--out", str(out)]) == 2
+    # enough trials for every kind's fit, so only the route or scaling can be refused
+    assert run([*args, "--n", "20", "--trials", "200", "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -254,6 +266,18 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
         {"trials": 4},  # too few for the KS fit
         {"kind": "poisson-counts", "trials": 150},  # too few for the chi-square fit
         {"kind": "sampler-crosscheck", "gap_law_trials": 4},  # too few for the 2x2 KS fit
+        {"n": 1},
+        {"n": ensemble.MAX_TRIDIAG_N + 1},
+        {"kind": "sampler-crosscheck", "n": ensemble.MAX_DENSE_N + 1},  # its dense part
+        {"kind": "factorial-moments", "interval": [-1, 2]},  # gaps are positive
+        {"kind": "successive-gaps", "c0": -1},
+        {"kind": "successive-gaps", "n": 2},  # no lag-2 gaps
+        {"k_max": 0},
+        {"k_max": 20},  # more than the n - 1 gaps
+        {"kind": "conjecture-beta", "k_max": 20},
+        {"kind": "factorial-moments", "k_max": 0},
+        {"kind": "poisson-counts", "trials": 200, "j_max": 0},
+        {"kind": "poisson-counts", "trials": 200, "j_max": 20},
     ],
 )
 def test_bad_config_is_usage_error(tmp_path, monkeypatch, config):
@@ -265,10 +289,33 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch, config):
     if isinstance(config, dict):
         kind = config.get("kind", kind)
         # enough trials that a config the check lets through would run to a verdict
-        config = {"trials": 12, **config}
+        config = {"n": 20, "trials": 12, **config}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    args = ["experiment", kind, "--config", str(cfg), "--n", "20"]
+    args = ["experiment", kind, "--config", str(cfg)]
     assert run(args + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_internal_value_error_is_not_usage_error(tmp_path, monkeypatch):
+    def failing_trials(*args):
+        raise ValueError("raised inside the numerics")
+
+    monkeypatch.setattr(experiments, "_parallel_rows", failing_trials)
+    code, _ = run_tiny(tmp_path, "smallest-gap-law")
+    assert code == 3
+
+
+def test_crosscheck_starts_one_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    code, _ = run_tiny(tmp_path, "sampler-crosscheck", ["--workers", "2"])
+    assert code == 0
+    assert len(pools) == 1

@@ -11,6 +11,14 @@ from rmtgaps import gapstats as gs
 STREAM = ens.SeedStream(base_seed=424242)
 
 
+def dense(n):
+    return ens.EnsembleSpec(n, sampler=ens.SAMPLER_DENSE)
+
+
+def tridiag(n, scaling=ens.SCALING_UNIT):
+    return ens.EnsembleSpec(n, scaling=scaling)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ens.EnsembleSpec(n=10, beta=0.0)
@@ -24,25 +32,25 @@ def test_spec_validation():
 
 
 def test_dense_determinism_and_sorting():
-    a = ens.sample_goe_dense(30, STREAM, 5)
-    b = ens.sample_goe_dense(30, STREAM, 5)
+    a = ens.sample(dense(30), STREAM, 5)
+    b = ens.sample(dense(30), STREAM, 5)
     assert np.array_equal(a.values, b.values)
     assert np.all(np.diff(a.values) > 0)
-    c = ens.sample_goe_dense(30, STREAM, 6)
+    c = ens.sample(dense(30), STREAM, 6)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_tridiag_determinism_and_sorting():
-    a = ens.sample_gbeta_tridiag(100, 1.0, STREAM, 9)
-    b = ens.sample_gbeta_tridiag(100, 1.0, STREAM, 9)
+    a = ens.sample(tridiag(100), STREAM, 9)
+    b = ens.sample(tridiag(100), STREAM, 9)
     assert np.array_equal(a.values, b.values)
     assert np.all(np.diff(a.values) > 0)
 
 
 def test_nscaled_divides_by_sqrt_n():
     n = 64
-    unit = ens.sample_gbeta_tridiag(n, 1.0, STREAM, 1, scaling=ens.SCALING_UNIT)
-    scaled = ens.sample_gbeta_tridiag(n, 1.0, STREAM, 1, scaling=ens.SCALING_NSCALED)
+    unit = ens.sample(tridiag(n, ens.SCALING_UNIT), STREAM, 1)
+    scaled = ens.sample(tridiag(n, ens.SCALING_NSCALED), STREAM, 1)
     assert np.array_equal(unit.values / math.sqrt(n), scaled.values)
 
 
@@ -67,16 +75,18 @@ def test_eigen_tridiagonal_shape_validation():
 
 
 def test_size_bounds():
-    with pytest.raises(ValueError):
-        ens.sample_goe_dense(1, STREAM, 0)
-    with pytest.raises(ValueError):
-        ens.sample_gbeta_tridiag(1, 1.0, STREAM, 0)
+    # checked when the spec is built, so nothing is drawn
+    for spec, limit in ((dense, ens.MAX_DENSE_N), (tridiag, ens.MAX_TRIDIAG_N)):
+        for n in (1, limit + 1):
+            with pytest.raises(ValueError):
+                spec(n)
+        assert spec(2).n == 2 and spec(limit).n == limit
 
 
 def test_trace_second_moment_bookkeeping():
     n, trials = 50, 1500
     tr2 = np.array(
-        [np.sum(ens.sample_goe_dense(n, STREAM, t).values ** 2) for t in range(trials)]
+        [np.sum(ens.sample(dense(n), STREAM, t).values ** 2) for t in range(trials)]
     )
     expect = n * (n + 1) / 2.0
     se = tr2.std(ddof=1) / math.sqrt(trials)
@@ -84,7 +94,7 @@ def test_trace_second_moment_bookkeeping():
 
 
 def test_mean_trace_is_zero():
-    sums = np.array([ens.sample_goe_dense(2, STREAM, t).values.sum() for t in range(4000)])
+    sums = np.array([ens.sample(dense(2), STREAM, t).values.sum() for t in range(4000)])
     se = sums.std(ddof=1) / math.sqrt(sums.size)
     assert abs(sums.mean()) < 3 * se
 
@@ -93,11 +103,9 @@ def test_mean_trace_is_zero():
 def test_two_by_two_gap_law(sampler):
     trials = 20_000
     gaps = np.empty(trials)
+    spec = ens.EnsembleSpec(2, sampler=sampler)
     for t in range(trials):
-        if sampler == "dense":
-            s = ens.sample_goe_dense(2, STREAM, t)
-        else:
-            s = ens.sample_gbeta_tridiag(2, 1.0, STREAM, t)
+        s = ens.sample(spec, STREAM, t)
         gaps[t] = s.values[1] - s.values[0]
     emp = gs.EmpiricalDistribution.from_samples(gaps)
     d, p = gs.ks_test(emp, lambda s: 1.0 - math.exp(-s * s / 4.0))
@@ -107,7 +115,7 @@ def test_two_by_two_gap_law(sampler):
 def test_lag_one_independence_of_max_eigenvalue():
     trials = 10_000
     lam_max = np.array(
-        [ens.sample_gbeta_tridiag(10, 1.0, STREAM, t).values[-1] for t in range(trials)]
+        [ens.sample(tridiag(10), STREAM, t).values[-1] for t in range(trials)]
     )
     x, y = lam_max[:-1], lam_max[1:]
     r = np.corrcoef(x, y)[0, 1]
@@ -120,7 +128,7 @@ def test_semicircle_mass_window():
     half = 0.5
     inside = np.array(
         [
-            np.mean(np.abs(ens.sample_gbeta_tridiag(n, 1.0, STREAM, t).values) < half * math.sqrt(2 * n))
+            np.mean(np.abs(ens.sample(tridiag(n), STREAM, t).values) < half * math.sqrt(2 * n))
             for t in range(trials)
         ]
     )
@@ -133,11 +141,11 @@ def test_dense_tridiag_gap_distributions_agree():
     trials = 800
     n = 100
     taus_d = np.array(
-        [gs.kth_gap_tau(ens.sample_goe_dense(n, STREAM, t).values, 1) for t in range(trials)]
+        [gs.kth_gap_tau(ens.sample(dense(n), STREAM, t).values, 1) for t in range(trials)]
     )
     taus_t = np.array(
         [
-            gs.kth_gap_tau(ens.sample_gbeta_tridiag(n, 1.0, STREAM, t).values, 1)
+            gs.kth_gap_tau(ens.sample(tridiag(n), STREAM, t).values, 1)
             for t in range(trials)
         ]
     )

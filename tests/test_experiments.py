@@ -102,7 +102,7 @@ def test_gap_summary_csv_roundtrip(tmp_path):
     assert len(lines) == 1 + cfg.trials
     stream = ensemble.SeedStream(3)
     for t in (0, 117, 199):
-        v = ensemble.sample_gbeta_tridiag(50, 1.0, stream, t).values
+        v = ensemble.sample(ensemble.EnsembleSpec(50), stream, t).values
         cells = [t, gapstats.chi_count(v, window), gapstats.chi_tilde_total(v, window)]
         cells += gapstats.chi_tilde_counts(v, window, 2)
         assert lines[1 + t] == ",".join(str(c) for c in cells)

@@ -148,7 +148,7 @@ def test_summary_invariants_on_random_spectra():
     stream = ens.SeedStream(7)
     window = (0.0, 2.0)
     for t in range(25):
-        v = ens.sample_gbeta_tridiag(60, 1.0, stream, t).values
+        v = ens.sample(ens.EnsembleSpec(60), stream, t).values
         chi = gs.chi_count(v, window)
         lags = gs.chi_tilde_counts(v, window, 2)
         chi_tilde = gs.chi_tilde_total(v, window)
