@@ -116,6 +116,9 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
+    for flag, name in (("--n-max", "n_max"), ("--cases", "cases")):
+        if getattr(args, name) is not None and name not in verify.SUITE_OPTIONS.get(args.suite, ()):
+            raise UsageError(f"{flag} does not apply to suite {args.suite}")
     options = {"seed": args.seed}
     if args.n_max is not None:
         if not 2 <= args.n_max <= loggas.MAX_PFAFFIAN_N:

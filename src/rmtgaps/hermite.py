@@ -87,16 +87,34 @@ def hermite_coeff_closed(j: int, power: int) -> int:
     return (-1) ** m * 2 ** (j - m) * math.comb(j, 2 * m) * math.factorial(2 * m) // (2**m * math.factorial(m))
 
 
-def _recurrence_rows(jmax: int, x, gaussian: bool) -> np.ndarray:
+def _recurrence_rows(jmax: int, x, gaussian: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Rows 0..jmax of the normalized recurrence: phi_j(x) when ``gaussian``,
-    otherwise the polynomial factor phi_j(x) * e^{x^2/2}."""
+    otherwise the polynomial factor phi_j(x) * e^{x^2/2}.
+
+    The rows are written into ``out`` (shape (jmax+1, len(x))) when given,
+    else into a new array, which is returned.  Every pass runs in place in
+    the output rows and one scratch row, so a caller that evaluates many
+    grids reuses its buffer instead of allocating per row.
+    """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    rows = np.empty((jmax + 1, xv.size))
-    rows[0] = (np.exp(-0.5 * xv * xv) if gaussian else 1.0) / _PI4
+    rows = np.empty((jmax + 1, xv.size)) if out is None else out
+    r = list(rows)  # row views made once; on short rows indexing costs as much as a pass
+    if gaussian:
+        np.multiply(xv, -0.5, out=r[0])
+        np.multiply(r[0], xv, out=r[0])
+        np.exp(r[0], out=r[0])
+        np.divide(r[0], _PI4, out=r[0])
+    else:
+        r[0].fill(1.0 / _PI4)
     if jmax >= 1:
-        rows[1] = xv * math.sqrt(2.0) * rows[0]
+        np.multiply(xv, math.sqrt(2.0), out=r[1])
+        np.multiply(r[1], r[0], out=r[1])
+    scratch = np.empty(xv.size)
     for j in range(1, jmax):
-        rows[j + 1] = xv * math.sqrt(2.0 / (j + 1)) * rows[j] - math.sqrt(j / (j + 1)) * rows[j - 1]
+        np.multiply(xv, math.sqrt(2.0 / (j + 1)), out=r[j + 1])
+        np.multiply(r[j + 1], r[j], out=r[j + 1])
+        np.multiply(r[j - 1], math.sqrt(j / (j + 1)), out=scratch)
+        np.subtract(r[j + 1], scratch, out=r[j + 1])
     return rows
 
 
@@ -219,24 +237,41 @@ def _dense_grid(roots, step=1.0 / 2048.0):
     return np.linspace(-half, half, count)
 
 
-def _abs_shift_correlation(w: WaveExpansion, grid: np.ndarray, fabs: np.ndarray, t: float) -> float:
-    """Trapezoid value of integral |F(x)| |F(x + t)| dx for any real shift."""
-    shifted = np.abs(wave_eval(w, grid + t))
-    prod = fabs * shifted
-    return float(np.trapezoid(prod, grid))
-
-
 def _offset_weighted_integral(roots, lo: float, hi: float, order: int = 48) -> float:
     """2 * integral over t in (lo, hi) of t * T(t) dt with T the absolute
-    autocorrelation of F; equals the pair integral over the offset window."""
+    autocorrelation of F; equals the pair integral over the offset window.
+
+    T(t) is the trapezoid value of integral |F(x)| |F(x + t)| dx on a dense
+    grid, at each Gauss-Legendre node t.  All shifts share one set of
+    buffers (shifted grid, recurrence rows, wave values, trapezoid terms)
+    that every pass writes in place.
+    """
     grid = _dense_grid(roots)
     w = roots_to_wave(roots)
-    fabs = np.abs(wave_eval(w, grid))
+    rows = np.empty((w.degree + 1, grid.size))
+
+    def abs_wave(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(w.coefficients, _recurrence_rows(w.degree, x, True, out=rows), out=out)
+        return np.abs(out, out=out)
+
+    fabs = abs_wave(grid, np.empty(grid.size))
+    d = np.diff(grid)
+    xs = np.empty(grid.size)
+    vals = np.empty(grid.size)
+    terms = np.empty(d.size)
     gl_x, gl_w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ts = mid + half * gl_x
     wts = half * gl_w
-    corr = np.array([_abs_shift_correlation(w, grid, fabs, t) for t in ts])
+    corr = np.empty(order)
+    for i, t in enumerate(ts):
+        np.add(grid, t, out=xs)
+        np.multiply(fabs, abs_wave(xs, vals), out=vals)
+        # np.trapezoid's passes in its order: sum of d * (y[1:] + y[:-1]) / 2.0
+        np.add(vals[1:], vals[:-1], out=terms)
+        np.multiply(d, terms, out=terms)
+        np.divide(terms, 2.0, out=terms)
+        corr[i] = terms.sum()
     return 2.0 * float(np.dot(wts, ts * corr))
 
 

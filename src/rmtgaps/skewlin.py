@@ -2,8 +2,9 @@
 
 Three evaluation routes with increasing reach:
 
-* :func:`pfaffian_exact` enumerates perfect matchings (the defining sum),
-  practical up to dimension 12 where it serves as the ground-truth oracle;
+* :func:`pfaffian_exact` expands the defining sum over perfect matchings
+  along the first index and sums each index subset once (at most n*2^n
+  products), up to dimension 12 where it serves as the ground-truth oracle;
 * :func:`pfaffian_numeric` runs skew-symmetric Gaussian elimination
   (Parlett-Reid) with partial pivoting and is the production path;
 * :func:`pfaffian_poly` / :func:`pfaffian_bordered` give the polynomial
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_EXACT_DIM = 12
+# trial points s of B + s*A when both ends of a pencil are singular
+PENCIL_SHIFTS = (1.0, -1.0, 0.5, -0.5, 2.0, -2.0)
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,10 @@ def pfaffian_exact(x) -> float:
     """Pfaffian by summing over perfect matchings with alternating signs.
 
     Expansion along the first active index: pairing index i0 with the p-th
-    remaining index carries sign (-1)^(p-1).  Factorial cost, so the
-    dimension is capped at MAX_EXACT_DIM.
+    remaining index carries sign (-1)^(p-1).  Each subset of remaining
+    indices is expanded once per call and its sum reused, so the cost is at
+    most n*2^n products instead of one per matching; the dimension stays
+    capped at MAX_EXACT_DIM as the oracle's reach.
     """
     m = _as_skew_array(x)
     n = m.shape[0]
@@ -69,23 +74,24 @@ def pfaffian_exact(x) -> float:
         raise ValueError("Pfaffian requires even dimension")
     if n > MAX_EXACT_DIM:
         raise ValueError(f"exact enumeration capped at dimension {MAX_EXACT_DIM}")
-    if n == 0:
-        return 1.0
-    return _matching_sum(m, list(range(n)))
+    rows = m.tolist()
+    sums = {(): 1.0}
 
+    def expand(idx: tuple) -> float:
+        total = sums.get(idx)
+        if total is None:
+            row = rows[idx[0]]
+            total = 0.0
+            sign = 1.0
+            for pos in range(1, len(idx)):
+                a = row[idx[pos]]
+                if a != 0.0:
+                    total += sign * a * expand(idx[1:pos] + idx[pos + 1 :])
+                sign = -sign
+            sums[idx] = total
+        return total
 
-def _matching_sum(m: np.ndarray, idx: list) -> float:
-    if not idx:
-        return 1.0
-    i0 = idx[0]
-    total = 0.0
-    sign = 1.0
-    for pos in range(1, len(idx)):
-        a = m[i0, idx[pos]]
-        if a != 0.0:
-            total += sign * a * _matching_sum(m, idx[1:pos] + idx[pos + 1 :])
-        sign = -sign
-    return total
+    return expand(tuple(range(n)))
 
 
 def pfaffian_numeric(x) -> float:
@@ -128,13 +134,25 @@ def _pencil_poly(b: np.ndarray, a: np.ndarray, max_degree: int) -> np.ndarray:
     M^{-1} N (the square of the product is det(I + zeta*M^{-1} N)).  Pairs
     are matched by nearest distance, which also keeps complex pairs
     together, and each factor takes the mean of its pair.  The A end gives
-    the coefficients in reverse order.  Truncated to ``max_degree``, with
-    trailing exact zeros removed.
+    the coefficients in reverse order.
+
+    A regular pencil may still be singular at both ends (B = J+0, A = 0+J).
+    Then M = B + s*A, for the best-conditioned s of PENCIL_SHIFTS, replaces
+    the B end: Pf(B + zeta*A) = Pf(M + (zeta - s)*A) = Pf(M) *
+    prod((1 - nu*s) + nu*zeta) with nu from M^{-1} A.  Truncated to
+    ``max_degree``, with trailing exact zeros removed.
     """
+    eps = np.finfo(np.float64).eps
     cond_b, cond_a = np.linalg.cond(b), np.linalg.cond(a)
     flip = cond_a < cond_b
-    if min(cond_a, cond_b) * np.finfo(np.float64).eps >= 1.0:
-        raise ValueError("both ends of the Pfaffian pencil are singular")
+    shift = 0.0
+    if min(cond_a, cond_b) * eps >= 1.0:
+        conds = [np.linalg.cond(b + s * a) for s in PENCIL_SHIFTS]
+        best = int(np.argmin(conds))
+        if conds[best] * eps >= 1.0:
+            raise ValueError("the Pfaffian pencil is singular at both ends and at every shift")
+        flip, shift = False, PENCIL_SHIFTS[best]
+        b = b + shift * a
     m, n = (a, b) if flip else (b, a)
     vals = list(np.linalg.eigvals(np.linalg.solve(m, n)))
     nus = []
@@ -142,8 +160,12 @@ def _pencil_poly(b: np.ndarray, a: np.ndarray, max_degree: int) -> np.ndarray:
         v = vals.pop()
         j = min(range(len(vals)), key=lambda i: abs(vals[i] - v))
         nus.append(0.5 * (v + vals.pop(j)))
-    # prod(x + nu) in descending powers of x is prod(1 + nu*zeta) in ascending powers of zeta
-    coeffs = pfaffian_numeric(m) * np.real(np.atleast_1d(np.poly(-np.array(nus))))
+    # prod(1 + nu*(zeta - s)) in ascending powers of zeta, one factor at a
+    # time; at s = 0 this is np.poly(-nus), convolution for convolution
+    coeffs = np.ones(1)
+    for nu in nus:
+        coeffs = np.convolve(coeffs, [1.0 - nu * shift, nu])
+    coeffs = pfaffian_numeric(m) * np.real(coeffs)
     coeffs = (coeffs[::-1] if flip else coeffs)[: max_degree + 1]
     nonzero = np.flatnonzero(coeffs)
     return coeffs[: nonzero[-1] + 1 if nonzero.size else 0]

@@ -16,6 +16,8 @@ import numpy as np
 from . import hermite, loggas, skewlin
 
 SUITES = ("pfaffian", "hermite", "lemma9", "lemma10", "lemma12", "dpoly", "coefficients")
+# options each suite reads besides the seed; the CLI rejects any other
+SUITE_OPTIONS = {"pfaffian": ("cases",), "lemma9": ("n_max",), "lemma10": ("cases",)}
 
 
 @dataclass

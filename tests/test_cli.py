@@ -54,6 +54,29 @@ def test_verify_rejects_bad_seed_and_cases(flags):
     assert run(["verify", "pfaffian", *flags]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dpoly", "--n-max", "5", "--cases", "3"],
+        ["dpoly", "--cases", "3"],
+        ["lemma12", "--n-max", "5"],
+        ["lemma12", "--cases", "3"],
+        ["pfaffian", "--n-max", "5"],
+        ["lemma9", "--cases", "3"],
+    ],
+)
+def test_verify_rejects_options_the_suite_ignores(tmp_path, args):
+    out = tmp_path / "out"
+    assert run(["verify", *args, "--out", str(out), "--reproducible"]) == 2
+    assert not out.exists()
+
+
+def test_verify_lemma10_takes_cases(tmp_path):
+    assert run(["verify", "lemma10", "--cases", "3", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_lemma10.json").read_text())
+    assert report["config"]["cases"] == 3
+
+
 def test_verify_lemma9_holds_up_to_the_advertised_limit():
     assert run(["verify", "lemma9", "--n-max", str(loggas.MAX_PFAFFIAN_N)]) == 0
 

@@ -1,5 +1,6 @@
 """Oscillator functions: closed forms, quadrature exactness, wave algebra."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -226,3 +227,28 @@ def test_root_box_integral_bound():
         norm = roots_to_wave(roots).l2_norm_sq()
         val = pair_integral_root_boxes(roots, c)
         assert 0.0 <= val <= n * c**4 * norm * (1 + 1e-6)
+
+
+# bits recorded before the recurrence wrote into reused buffers; every pass
+# keeps its operation and order, so the values stay, for a given numpy build
+PAIR_INTEGRAL_BITS = {
+    (-1.25, 0.5, 1.75): ("0x1.df4427138e314p-4", "0x1.e42cb4fc228a0p-5"),
+    (-0.8, -0.1, 0.3, 1.1, 1.9): ("0x1.e23350bc8719ep+1", "0x1.e4571d77bda81p+0"),
+}
+
+
+def test_pair_integrals_bits_pinned():
+    for roots, (band, offsets) in PAIR_INTEGRAL_BITS.items():
+        assert pair_integral_band(list(roots), 0.2).hex() == band
+        assert pair_integral_offsets(list(roots), 0.05, 0.15).hex() == offsets
+
+
+def test_recurrence_bytes_pinned():
+    def sha(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    rows = phi_rows(200, np.linspace(-20.0, 20.0, 4001))
+    assert sha(rows) == "8337a41ec85209513da258955d5413abe95f9b390d137e2aaa5bb62a3ffb24c8"
+    rule = gauss_hermite(64)
+    assert sha(rule.nodes) == "a2a81f3031005e61b5b8fc2765403d481b6f731b7eb7ddd96281fee9fe67858a"
+    assert sha(rule.weights) == "8a8989e00d6f03b59138ea40001424491e51b7a3785e07b85d27cf10d71beae4"

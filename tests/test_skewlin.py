@@ -59,6 +59,40 @@ def test_pairing_table_pfaffian_is_superdiagonal_product():
     assert pfaffian_numeric(t.beta) == pytest.approx(math.sqrt(2.0) * math.sqrt(6.0), rel=1e-12)
 
 
+# float.hex of pfaffian_exact, recorded from the leaf-by-leaf expansion; the
+# per-call subset sums keep its summation order, so they keep every bit
+EXACT_BITS = {
+    2: "-0x1.080e5d789be88p+0",
+    4: "0x1.74ec3427f125cp-4",
+    6: "0x1.8cb164248b8fap+0",
+    8: "-0x1.d4aa52846a668p+1",
+    10: "0x1.5225a0a8424dbp+2",
+    12: "-0x1.1eb6419dddaaap+4",
+}
+
+
+def seeded_skew(seed, n):
+    return random_skew(np.random.default_rng(seed), n)
+
+
+def test_exact_bits_pinned():
+    for n, bits in EXACT_BITS.items():
+        assert pfaffian_exact(seeded_skew(n, n)).hex() == bits
+    # exact zeros, including a row whose only partner is index 4
+    x = seeded_skew(99, 8)
+    x[0, 3] = x[3, 0] = x[2, 5] = x[5, 2] = 0.0
+    x[1, :] = x[:, 1] = 0.0
+    x[1, 4], x[4, 1] = 0.75, -0.75
+    assert pfaffian_exact(x).hex() == "-0x1.48c439261483ep+1"
+
+
+def test_exact_subset_sums_do_not_outlive_a_call():
+    x1, x2 = seeded_skew(1, 10), seeded_skew(2, 10)
+    first = pfaffian_exact(x1)
+    assert pfaffian_exact(x2) != first
+    assert pfaffian_exact(x1) == first
+
+
 def test_exact_matches_numeric_dim_10():
     rng = np.random.default_rng(11)
     x = random_skew(rng, 10)
@@ -190,6 +224,12 @@ def test_bordered_matches_direct_construction():
         assert val == pytest.approx(direct, rel=1e-9)
 
 
+def pencil_matches_exact(coeffs, b, a):
+    for t in (-0.7, 0.2, 1.3):
+        scale = np.polyval(np.abs(coeffs[::-1]), abs(t))
+        assert abs(np.polyval(coeffs[::-1], t) - pfaffian_exact(b + t * a)) < 1e-10 * scale
+
+
 def test_poly_matches_exact_on_generic_pencils():
     rng = np.random.default_rng(10)
     pencils = []
@@ -203,7 +243,39 @@ def test_poly_matches_exact_on_generic_pencils():
     imag = [np.abs(np.linalg.eigvals(np.linalg.solve(b, a)).imag).max() for b, a in pencils[:-1]]
     assert max(imag) > 1e-3
     for b, a in pencils:
-        coeffs = pfaffian_poly(b, a, b.shape[0] // 2)
-        for t in (-0.7, 0.2, 1.3):
-            scale = np.polyval(np.abs(coeffs[::-1]), abs(t))
-            assert abs(np.polyval(coeffs[::-1], t) - pfaffian_exact(b + t * a)) < 1e-10 * scale
+        pencil_matches_exact(pfaffian_poly(b, a, b.shape[0] // 2), b, a)
+
+
+def test_poly_with_both_ends_singular():
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    b = np.zeros((4, 4))
+    b[:2, :2] = j
+    a = np.zeros((4, 4))
+    a[2:, 2:] = j
+    # Pf(J+0 + zeta*(0+J)) = zeta
+    coeffs = pfaffian_poly(b, a, 2)
+    assert coeffs == pytest.approx([0.0, 1.0], abs=1e-14)
+    pencil_matches_exact(coeffs, b, a)
+
+    rng = np.random.default_rng(12)
+    b, a = random_skew(rng, 6), random_skew(rng, 6)
+    b[5, :] = b[:, 5] = 0.0
+    a[0, :] = a[:, 0] = 0.0
+    assert np.linalg.matrix_rank(b) < 6 and np.linalg.matrix_rank(a) < 6
+    pencil_matches_exact(pfaffian_poly(b, a, 3), b, a)
+
+    with pytest.raises(ValueError):
+        pfaffian_poly(np.zeros((4, 4)), np.zeros((4, 4)), 2)
+
+
+def test_bordered_with_zero_base():
+    rng = np.random.default_rng(13)
+    a = random_skew(rng, 3)
+    v = np.array([1.0, 2.0, 3.0])
+    coeffs = pfaffian_bordered(np.zeros((3, 3)), a, v, 2)
+    border = np.zeros((4, 4))
+    border[:3, 3] = v
+    border[3, :3] = -v
+    lift = np.zeros((4, 4))
+    lift[:3, :3] = a
+    pencil_matches_exact(coeffs, border, lift)
