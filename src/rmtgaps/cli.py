@@ -27,17 +27,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_SUITE_HELP = {
-    "pfaffian": "Pfaffian algebraic identities on random skew matrices",
-    "hermite": "wave-function orthonormality, closed forms, Parseval",
-    "lemma9": "partition-ratio identity 4^k G_{n-2k,k} / G_n = 1",
-    "lemma10": "derivative-energy and pair-integral inequalities",
-    "lemma12": "gap-window sandwich bounds by direct quadrature",
-    "dpoly": "shifted determinant polynomial identities",
-    "coefficients": "pairing coefficient tables against quadrature oracles",
-}
-
-
 def _interval(text: str):
     try:
         lo, hi = (float(p) for p in text.split(","))
@@ -52,8 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a deterministic verification suite")
-    pv.add_argument("suite", choices=verify.SUITES, help="; ".join(f"{k}: {v}" for k, v in _SUITE_HELP.items()))
-    pv.add_argument("--n-max", type=int, default=None, help="largest system size (lemma9)")
+    suites = verify.SUITES
+    pv.add_argument("suite", choices=suites, help="; ".join(f"{k}: {s.help}" for k, s in suites.items()))
+    readers = ", ".join(k for k, s in suites.items() if "n_max" in s.options)
+    pv.add_argument("--n-max", type=int, default=None, help=f"largest system size ({readers})")
     pv.add_argument("--cases", type=int, default=None, help="random cases per check")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", default=None, help="output directory for CSV/JSON reports")
@@ -117,7 +108,7 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
     for flag, name in (("--n-max", "n_max"), ("--cases", "cases")):
-        if getattr(args, name) is not None and name not in verify.SUITE_OPTIONS.get(args.suite, ()):
+        if getattr(args, name) is not None and name not in verify.SUITES[args.suite].options:
             raise UsageError(f"{flag} does not apply to suite {args.suite}")
     options = {"seed": args.seed}
     if args.n_max is not None:
@@ -140,24 +131,14 @@ def _cmd_verify(args) -> int:
     if args.out:
         out = Path(args.out)
         config = {"command": "verify", "suite": args.suite, "base_seed": args.seed, **options}
-        if args.suite == "lemma9":
-            header = ["n", "k", "ratio", "abs_error"]
-            rows = result.table
-        else:
-            header = ["check", "value", "threshold", "passed"]
-            rows = result.rows
-        reports.write_csv(
-            out / f"verify_{args.suite}.csv", config, __version__, header, rows, args.reproducible
-        )
+        csv = out / f"verify_{args.suite}.csv"
+        reports.write_csv(csv, config, __version__, result.header, result.table, args.reproducible)
         payload = experiments.RunReport(
             command="verify",
             kind=args.suite,
             config=config,
             results={
-                "checks": [
-                    {"check": c, "value": v, "threshold": t, "passed": bool(ok)}
-                    for c, v, t, ok in result.rows
-                ],
+                "checks": [dict(zip(verify.CHECK_HEADER, row)) for row in result.rows],
                 "max_error": result.max_error(),
             },
             passed=result.passed,

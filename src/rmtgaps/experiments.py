@@ -203,10 +203,11 @@ def _taus(cfg, v) -> dict:
 
 
 def _window_counts(cfg, v) -> dict:
-    lags = gapstats.chi_tilde_counts(v, cfg.interval, cfg.j_max)
+    # one pass over every lag: lag 1 is chi, the sum is chi_tilde
+    lags = gapstats.chi_tilde_counts(v, cfg.interval, v.size - 1)
     return {
-        "chi": gapstats.chi_count(v, cfg.interval),
-        "chi_tilde": gapstats.chi_tilde_total(v, cfg.interval),
+        "chi": lags[0],
+        "chi_tilde": sum(lags),
         **{f"lag_{j + 1}": lags[j] for j in range(cfg.j_max)},
     }
 
@@ -289,9 +290,10 @@ def _mean_se(x: np.ndarray) -> tuple:
     return float(np.mean(x)), se
 
 
-def _count_bins(counts) -> int:
-    """One histogram bin per count value, and at least two."""
-    return max(int(np.max(counts)) + 1, 2)
+def _count_histogram(counts, title: str) -> str:
+    """Histogram of window counts: one bin per count value, and at least two."""
+    bins = max(int(np.max(counts)) + 1, 2)
+    return svgplot.histogram_svg(counts, bins, title=title, xlabel="count")
 
 
 def _fit_gap_law(samples, k: int, beta: float, title: str, xlabel: str) -> tuple:
@@ -365,14 +367,7 @@ def _agg_poisson_counts(cfg, rows):
         "gof_p": gof_p,
         "gof_passed": bool(gof_ok),
     }
-    svgs = {
-        "counts.svg": svgplot.histogram_svg(
-            chi,
-            _count_bins(chi),
-            title=f"window counts, n={cfg.n}, A={list(cfg.interval)}",
-            xlabel="count",
-        )
-    }
+    svgs = {"counts.svg": _count_histogram(chi, f"window counts, n={cfg.n}, A={list(cfg.interval)}")}
     return results, bool(mean_ok and fm2_ok and gof_ok), svgs
 
 
@@ -393,14 +388,7 @@ def _agg_factorial_moments(cfg, rows):
             "passed": bool(ok),
         }
         passed &= ok
-    svgs = {
-        "chi_tilde.svg": svgplot.histogram_svg(
-            chi_tilde,
-            _count_bins(chi_tilde),
-            title=f"all-lag window counts, n={cfg.n}",
-            xlabel="count",
-        )
-    }
+    svgs = {"chi_tilde.svg": _count_histogram(chi_tilde, f"all-lag window counts, n={cfg.n}")}
     return results, bool(passed), svgs
 
 
@@ -420,14 +408,7 @@ def _agg_successive_gaps(cfg, rows):
         "bound": bound,
         "passed": bool(ok),
     }
-    svgs = {
-        "lag2_counts.svg": svgplot.histogram_svg(
-            counts,
-            _count_bins(counts),
-            title=f"lag-2 window counts, n={cfg.n}, c0={cfg.c0}",
-            xlabel="count",
-        )
-    }
+    svgs = {"lag2_counts.svg": _count_histogram(counts, f"lag-2 window counts, n={cfg.n}, c0={cfg.c0}")}
     return results, bool(ok), svgs
 
 
@@ -442,7 +423,7 @@ def _agg_sampler_crosscheck(cfg, rows):
     )
     dg, pg = gapstats.ks_test(
         gapstats.EmpiricalDistribution.from_samples(gaps2),
-        lambda s: 1.0 - math.exp(-s * s / 4.0),
+        gapstats.two_by_two_gap_cdf,
     )
     two_ok = p2 > thr["two_sample_p_min"]
     gap_ok = dg < thr["gap_law_ks_max"]
@@ -462,7 +443,7 @@ def _agg_sampler_crosscheck(cfg, rows):
             _HIST_BINS,
             title=f"2x2 eigenvalue gap, {gaps2.size} trials",
             xlabel="gap",
-            density_fn=lambda s: 0.5 * s * math.exp(-s * s / 4.0),
+            density_fn=gapstats.two_by_two_gap_pdf,
         )
     }
     return results, bool(two_ok and gap_ok), svgs

@@ -40,38 +40,37 @@ def _inside(x: np.ndarray, interval) -> np.ndarray:
 # counting statistics
 
 
+def _lag_counts(v: np.ndarray, interval, j_max: int) -> list:
+    """Counts of n*(lambda_{i+j} - lambda_i) in the window for j = 1..j_max.  On a sorted
+    spectrum lag-(j+1) distances dominate lag-j ones, so the pass stops at the first lag
+    whose smallest distance reaches the window top and pads the later lags with zeros."""
+    n = v.size
+    out = []
+    for j in range(1, min(j_max, n - 1) + 1):
+        d = (v[j:] - v[:-j]) * n
+        if np.min(d) >= interval[1]:
+            break
+        out.append(int(np.count_nonzero(_inside(d, interval))))
+    return out + [0] * (j_max - len(out))
+
+
 def chi_count(spectrum, interval) -> int:
     """Number of nearest-neighbor gaps with n*(gap) in the open interval."""
-    v = _values(spectrum)
-    gaps = np.diff(v) * v.size
-    return int(np.count_nonzero(_inside(gaps, interval)))
+    return _lag_counts(_values(spectrum), interval, 1)[0]
 
 
 def chi_tilde_counts(spectrum, interval, j_max: int) -> list:
     """Per-lag counts of n*(lambda_{i+j} - lambda_i) in the window, j = 1..j_max."""
     v = _values(spectrum)
-    n = v.size
-    if not 1 <= j_max <= n - 1:
+    if not 1 <= j_max <= v.size - 1:
         raise ValueError("need 1 <= j_max <= n-1")
-    out = []
-    for j in range(1, j_max + 1):
-        d = (v[j:] - v[:-j]) * n
-        out.append(int(np.count_nonzero(_inside(d, interval))))
-    return out
+    return _lag_counts(v, interval, j_max)
 
 
 def chi_tilde_total(spectrum, interval) -> int:
-    """Total over all lags, stopping once every lag-j distance exceeds the window."""
+    """Window count summed over all lags."""
     v = _values(spectrum)
-    n = v.size
-    _, hi = interval
-    total = 0
-    for j in range(1, n):
-        d = (v[j:] - v[:-j]) * n
-        if np.min(d) >= hi:
-            break
-        total += int(np.count_nonzero(_inside(d, interval)))
-    return total
+    return sum(_lag_counts(v, interval, v.size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +121,16 @@ def limiting_tau_pdf(k: int, x: float, beta: float = 1.0) -> float:
     return math.exp(
         math.log(b1) + (k * b1 - 1.0) * math.log(x) - _law_power(x, beta) - math.lgamma(k)
     )
+
+
+def two_by_two_gap_cdf(s: float) -> float:
+    """P(gap <= s) for the eigenvalue gap of a 2x2 GOE matrix: 1 - e^{-s^2/4}."""
+    return 1.0 - math.exp(-s * s / 4.0)
+
+
+def two_by_two_gap_pdf(s: float) -> float:
+    """Density (s/2) e^{-s^2/4} of the 2x2 GOE eigenvalue gap."""
+    return 0.5 * s * math.exp(-s * s / 4.0)
 
 
 def poisson_intensity(interval) -> float:

@@ -26,6 +26,8 @@ MAX_QUADRATURE = 256
 MAX_WAVE_ROOTS = 60
 
 _PI4 = math.pi ** 0.25
+# sqrt(j/2) for j = 1..MAX_WAVE_ROOTS: the ladder factors of x*phi_j in roots_to_wave
+_HALF_ROOTS = np.sqrt(np.arange(1, MAX_WAVE_ROOTS + 1) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -178,11 +180,10 @@ def roots_to_wave(roots) -> WaveExpansion:
     a = np.array([_PI4])
     for lam in rts:
         m = a.size
-        j = np.arange(m, dtype=np.float64)
         nxt = np.zeros(m + 1)
-        nxt[1:] += a * np.sqrt((j + 1) / 2.0)  # raising part of x*phi_j
+        nxt[1:] += a * _HALF_ROOTS[:m]  # raising part of x*phi_j
         if m > 1:
-            nxt[: m - 1] += a[1:] * np.sqrt(j[1:] / 2.0)  # lowering part
+            nxt[: m - 1] += a[1:] * _HALF_ROOTS[: m - 1]  # lowering part
         nxt[:m] -= lam * a
         a = nxt
     return WaveExpansion(a)

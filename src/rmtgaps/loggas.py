@@ -174,8 +174,8 @@ def coefficient_tables(size: int) -> CoefficientTables:
     nu = np.array([nu_coeff(k) for k in range(1, size + 1)])
     beta = np.zeros((size, size))
     for j in range(1, size):
-        beta[j - 1, j] = math.sqrt(2.0 * j)
-        beta[j, j - 1] = -beta[j - 1, j]
+        beta[j - 1, j] = beta_coeff(j, j + 1)
+        beta[j, j - 1] = beta_coeff(j + 1, j)
     alpha = np.zeros((size, size))
     for j in range(1, size + 1):
         for k in range(j + 1, size + 1):
@@ -248,9 +248,12 @@ def _pairing_poly(n: int) -> np.ndarray:
     return pfaffian_bordered(t.beta, t.alpha, t.nu, (n - 1) // 2)
 
 
-def _pairing_coeff(n: int, power: int) -> float:
+def _pairing_coeff(n1: int, n2: int) -> float:
+    """The coefficient that carries G_{n1,n2}: zeta^{n1 // 2} of the size
+    n1 + 2*n2 pairing polynomial, for either parity of n (odd n has odd n1)."""
+    n, power = n1 + 2 * n2, n1 // 2
     poly = _pairing_poly(n)
-    if power < 0 or power >= poly.size:
+    if power >= poly.size:
         raise CoefficientError(
             f"coefficient zeta^{power} of the size-{n} pairing polynomial is out of range"
         )
@@ -268,14 +271,8 @@ def partition_ratio(n: int, k: int) -> float:
     if n > MAX_PFAFFIAN_N:
         raise ValueError(f"n limited to {MAX_PFAFFIAN_N}")
     n1 = n - 2 * k
-    if n % 2 == 0:
-        num = _pairing_coeff(n, n1 // 2)
-        den = _pairing_coeff(n, n // 2)
-    else:
-        num = _pairing_coeff(n, (n1 - 1) // 2)
-        den = _pairing_coeff(n, (n - 1) // 2)
     fact = math.factorial(n1) * math.factorial(k) / math.factorial(n)
-    return fact * num / den
+    return fact * _pairing_coeff(n1, k) / _pairing_coeff(n, 0)
 
 
 def partition_general(n1: int, n2: int) -> float:
@@ -289,8 +286,7 @@ def partition_general(n1: int, n2: int) -> float:
     n = n1 + 2 * n2
     if n > MAX_PFAFFIAN_N:
         raise ValueError(f"n1 + 2*n2 limited to {MAX_PFAFFIAN_N}")
-    power = n1 // 2 if n % 2 == 0 else (n1 - 1) // 2
-    coeff = _pairing_coeff(n, power)
+    coeff = _pairing_coeff(n1, n2)
     if coeff == 0.0:
         return 0.0
     log_mag = (

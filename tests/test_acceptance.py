@@ -9,10 +9,9 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
-from rmtgaps import cli, hermite, loggas, verify
+from rmtgaps import cli, loggas, verify
 from rmtgaps.experiments import ExperimentConfig, run_experiment
 
 WORKERS = 2
@@ -140,19 +139,13 @@ def test_criterion_5_hermite_suite():
 
 
 def test_criterion_6_energy_and_sandwiches():
-    rng = np.random.default_rng(2)
-    violations = 0
-    for _ in range(1000):
-        m = int(rng.integers(0, 11))
-        roots = rng.uniform(-3.0, 3.0, m)
-        lhs, rhs = hermite.derivative_energy_pair(roots, m + 1)
-        violations += lhs > rhs
-
+    lemma10 = verify.run_suite("lemma10", {"seed": 2, "cases": 1000})
+    energy = [r for r in lemma10.rows if r[0].startswith("derivative_energy_")]
     lemma12 = verify.run_suite("lemma12", {"tolerance": 1e-3})
     sandwiches = [r for r in lemma12.rows if r[0].startswith("gap_sandwich_")]
     sandwich_ok = len(sandwiches) == 4 and all(ok for *_, ok in sandwiches)
-    detail = f"violations={violations}; {_suite_detail(sandwiches)}"
-    criterion(6, violations == 0 and sandwich_ok, detail)
+    detail = f"{_suite_detail(energy)}; {_suite_detail(sandwiches)}"
+    criterion(6, lemma10.passed and sandwich_ok, detail)
 
 
 # ---------------------------------------------------------------------------

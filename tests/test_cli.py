@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rmtgaps import cli, ensemble, experiments, loggas
+from rmtgaps import cli, ensemble, experiments, loggas, verify
 
 LOOSE = {
     "ks_max": {"1": 0.5, "2": 0.5, "3": 0.5},
@@ -69,6 +69,42 @@ def test_verify_rejects_options_the_suite_ignores(tmp_path, args):
     out = tmp_path / "out"
     assert run(["verify", *args, "--out", str(out), "--reproducible"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+@pytest.mark.parametrize("flag,option,value", [("--n-max", "n_max", "4"), ("--cases", "cases", "3")])
+def test_verify_flags_follow_suite_declarations(tmp_path, suite, flag, option, value):
+    out = tmp_path / "out"
+    code = run(["verify", suite, flag, value, "--out", str(out), "--reproducible"])
+    if option in verify.SUITES[suite].options:
+        assert code == 0
+        assert json.loads((out / f"verify_{suite}.json").read_text())["config"][option] == int(value)
+    else:
+        assert code == 2
+        assert not out.exists()
+        with pytest.raises(ValueError):
+            verify.run_suite(suite, {option: int(value)})
+
+
+# each suite's help line as `rmtgaps verify --help` has always printed it
+SUITE_HELP = {
+    "pfaffian": "Pfaffian algebraic identities on random skew matrices",
+    "hermite": "wave-function orthonormality, closed forms, Parseval",
+    "lemma9": "partition-ratio identity 4^k G_{n-2k,k} / G_n = 1",
+    "lemma10": "derivative-energy and pair-integral inequalities",
+    "lemma12": "gap-window sandwich bounds by direct quadrature",
+    "dpoly": "shifted determinant polynomial identities",
+    "coefficients": "pairing coefficient tables against quadrature oracles",
+}
+
+
+def test_verify_help_names_every_suite(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per help entry, no hyphen breaks
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert list(verify.SUITES) == list(SUITE_HELP)
+    assert "; ".join(f"{name}: {text}" for name, text in SUITE_HELP.items()) in out
 
 
 def test_verify_lemma10_takes_cases(tmp_path):

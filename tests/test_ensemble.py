@@ -108,7 +108,7 @@ def test_two_by_two_gap_law(sampler):
         s = ens.sample(spec, STREAM, t)
         gaps[t] = s.values[1] - s.values[0]
     emp = gs.EmpiricalDistribution.from_samples(gaps)
-    d, p = gs.ks_test(emp, lambda s: 1.0 - math.exp(-s * s / 4.0))
+    d, p = gs.ks_test(emp, gs.two_by_two_gap_cdf)
     assert p > 0.001, (d, p)
 
 

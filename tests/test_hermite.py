@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rmtgaps import hermite
+from rmtgaps import verify
 from rmtgaps.hermite import (
     WaveExpansion,
     derivative_energy_pair,
@@ -124,11 +124,9 @@ def test_wave_pointwise_matches_product():
 
 
 def test_wave_parseval_sweep():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        roots = rng.uniform(-3.0, 3.0, rng.integers(0, 11))
-        w = roots_to_wave(roots)
-        assert w.l2_norm_sq() == pytest.approx(wave_l2_quadrature(w), rel=1e-9)
+    # 50 random root sets: coefficient norm against quadrature to 1e-9, among other checks
+    result = verify.run_suite("hermite", {"seed": 2})
+    assert result.passed, result.rows
 
 
 def test_wave_root_cap():
@@ -176,12 +174,9 @@ def test_energy_pair_single_zero_root():
 
 
 def test_energy_inequality_sweep():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        m = int(rng.integers(0, 11))
-        roots = rng.uniform(-3.0, 3.0, m)
-        lhs, rhs = derivative_energy_pair(roots, m + 1)
-        assert lhs <= rhs
+    # 1000 random root sets with no energy violation, and the pair-integral bounds
+    result = verify.run_suite("lemma10", {"seed": 4, "cases": 1000})
+    assert result.passed, [row for row in result.rows if not row[3]]
 
 
 def test_energy_pair_rejects_large_root_count():
