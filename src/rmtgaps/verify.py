@@ -228,8 +228,11 @@ def _suite_lemma10(seed=0, cases=1000) -> SuiteResult:
     return SuiteResult(rows)
 
 
+LEMMA12_TOLERANCE = 1e-3  # relative slack on every quadrature bound of the lemma12 suite
+
+
 @_suite
-def _suite_lemma12(tolerance=1e-3) -> SuiteResult:
+def _suite_lemma12() -> SuiteResult:
     """gap-window sandwich bounds by direct quadrature"""
     rows = []
     for n, k, l in ((2, 1, 0), (3, 1, 0)):
@@ -239,7 +242,7 @@ def _suite_lemma12(tolerance=1e-3) -> SuiteResult:
             ratio = val / upper
             lo_bound = (1.0 - n * c * c) * c * c
             hi_bound = c * c
-            ok = lo_bound * (1.0 - tolerance) <= ratio <= hi_bound * (1.0 + tolerance)
+            ok = lo_bound * (1.0 - LEMMA12_TOLERANCE) <= ratio <= hi_bound * (1.0 + LEMMA12_TOLERANCE)
             rows.append((f"gap_sandwich_n{n}_c{c}", ratio, hi_bound, ok))
 
     # interval-window variant at (2,1,0), window (0.05, 0.1)
@@ -249,14 +252,14 @@ def _suite_lemma12(tolerance=1e-3) -> SuiteResult:
     mass = 2.0 * (b * b - a * a) / 2.0  # twice the integral of u over (a,b)
     lo_bound = (1.0 - 2.0 * b * b) * mass * g01
     hi_bound = mass * g01
-    ok = lo_bound * (1.0 - tolerance) <= val <= hi_bound * (1.0 + tolerance)
+    ok = lo_bound * (1.0 - LEMMA12_TOLERANCE) <= val <= hi_bound * (1.0 + LEMMA12_TOLERANCE)
     rows.append(("interval_sandwich_n2", val, hi_bound, ok))
 
     # merged-pair integral equals the two-charge partition value
     direct = loggas.integrate_constrained(3, loggas.GapConstraint(1, 0.1), 1)
     exact = loggas.partition_general(1, 1)
     err = _rel(direct, exact)
-    rows.append(_below("merged_pair_equals_partition", err, tolerance))
+    rows.append(_below("merged_pair_equals_partition", err, LEMMA12_TOLERANCE))
 
     return SuiteResult(rows)
 

@@ -141,7 +141,7 @@ def test_criterion_5_hermite_suite():
 def test_criterion_6_energy_and_sandwiches():
     lemma10 = verify.run_suite("lemma10", {"seed": 2, "cases": 1000})
     energy = [r for r in lemma10.rows if r[0].startswith("derivative_energy_")]
-    lemma12 = verify.run_suite("lemma12", {"tolerance": 1e-3})
+    lemma12 = verify.run_suite("lemma12")
     sandwiches = [r for r in lemma12.rows if r[0].startswith("gap_sandwich_")]
     sandwich_ok = len(sandwiches) == 4 and all(ok for *_, ok in sandwiches)
     detail = f"{_suite_detail(energy)}; {_suite_detail(sandwiches)}"

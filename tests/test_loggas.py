@@ -2,6 +2,7 @@
 and the direct constrained quadrature oracle."""
 
 import math
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -232,10 +233,11 @@ def _full_tensor_value(n, constraint, l, level):
 
 # (n, k, l) over m = n - l = 1..3 and kappa = k - l = 0, 1 with m >= 2 kappa;
 # k = 0 stands for constraint=None.  (4, 2, 1) and (5, 2, 2) put double
-# charges inside m = 3.
+# charges inside m = 3; with a constrained gap, (3, 1, 0), (4, 2, 1),
+# (5, 3, 2) and (6, 4, 3) give the x_0 pair exponents 1, 2, 2 and 4.
 _SHAPES = [
     (1, 0, 0), (2, 1, 1), (2, 0, 0), (3, 1, 1), (2, 1, 0), (3, 0, 0),
-    (4, 2, 2), (3, 1, 0), (4, 2, 1), (5, 2, 2),
+    (4, 2, 2), (3, 1, 0), (4, 2, 1), (5, 2, 2), (5, 3, 2), (6, 4, 3),
 ]
 
 
@@ -244,7 +246,60 @@ def test_constrained_value_matches_full_tensor(monkeypatch, n, k, l):
     monkeypatch.setattr(loggas, "_BASE_CELLS", 6)
     monkeypatch.setattr(loggas, "_GAP_CELLS", 2)
     bounds = [None] if k == 0 else [0.3, (0.2, 0.7)]
-    for bound, level in product(bounds, (0, 1)):
+    levels = (0, 1, 2) if n - l == 3 else (0, 1)
+    for bound, level in product(bounds, levels):
         constraint = None if bound is None else GapConstraint(k, bound)
         fast = loggas._constrained_value(n, constraint, l, level)
         assert fast == pytest.approx(_full_tensor_value(n, constraint, l, level), rel=1e-12)
+
+
+@pytest.mark.parametrize("p_r,p_s", [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (4.0, 4.0)])
+@pytest.mark.parametrize("u", [np.linspace(-0.6, 0.6, 13), -np.linspace(0.05, 0.6, 12)])
+def test_gap_core_sum_matches_slab_sum(p_r, p_s, u):
+    # grid spacing 0.1 puts many x_0 - x_i inside the window, and 41 outer
+    # points are not a whole number of blocks
+    rng = np.random.default_rng(3)
+    x, w = loggas._trapezoid_axis(-2.0, 2.0, 40)
+    G = rng.uniform(0.5, 1.5, (x.size, u.size))
+    expect = 0.0
+    for x0, w0 in zip(x, w):
+        row = w * np.abs(x0 - x) ** p_r
+        core = (G * np.abs(x0 - x[:, None] - u) ** p_s).sum(axis=1)
+        expect += w0 * math.exp(-x0**2) * float(row @ core)
+    got = loggas._gap_core_sum(x, w, u, G, 2.0, p_r, p_s)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+# float.hex of the eight integrate_constrained values behind the lemma12
+# suite, recorded with the direct sum of the slab at each x_0, so the
+# lemma12 artifacts stay byte for byte.  (3, 0.1, 0) stops at level 2 and
+# the others at level 1, so equal bits also pin the stopping level.
+_LEMMA12_BITS = [
+    ((2, 1.0, 1), "0x1.c5bf891b4ef6ap+0"),
+    ((2, 0.05, 0), "0x1.224eda5fba66ap-8"),
+    ((2, 0.1, 0), "0x1.22092976c7ff5p-6"),
+    ((3, 1.0, 1), "0x1.aa844a84c1456p+2"),
+    ((3, 0.05, 0), "0x1.10d4486f58256p-6"),
+    ((3, 0.1, 0), "0x1.10690cb8c699ep-4"),
+    ((2, (0.05, 0.1), 0), "0x1.b2eb088431003p-7"),
+    ((3, 0.1, 1), "0x1.aa844a84c1456p+2"),
+]
+
+
+def test_lemma12_quadrature_values_keep_their_bits():
+    got = [
+        (shape, float(integrate_constrained(shape[0], GapConstraint(1, shape[1]), shape[2])).hex())
+        for shape, _ in _LEMMA12_BITS
+    ]
+    assert got == _LEMMA12_BITS
+
+
+def test_three_coordinate_gap_core_memory():
+    # the x_0 blocks bound the scratch arrays of the largest lemma12 level
+    tracemalloc.start()
+    try:
+        loggas._constrained_value(3, GapConstraint(1, 0.1), 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
