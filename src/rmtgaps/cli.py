@@ -8,6 +8,10 @@ Configuration comes from an optional JSON file (--config) overridden by
 explicit flags; the merged config is echoed into every output header so a
 run can be reproduced from its own artifacts.  Exit codes: 0 success,
 1 statistical or verification failure, 2 usage error, 3 internal error.
+
+``verify`` runs on numpy alone and never loads scipy; the Monte Carlo
+commands load ``scipy.linalg`` and ``scipy.special`` where they first call
+them, so no command pays for both imports (about 0.4 s) at start-up.
 """
 
 from __future__ import annotations

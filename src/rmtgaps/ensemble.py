@@ -11,6 +11,12 @@ Two routes to the same spectral law at beta = 1, both drawn by :func:`sample`:
 
 Spectra are deterministic functions of (spec, base_seed, trial_index): all
 randomness flows through the counter-based streams in :mod:`rmtgaps.prng`.
+
+``scipy.linalg`` (about 0.3 s to import) is loaded on the first call of
+:func:`eigen_tridiagonal`, not with this module, so that a process which never
+draws a tridiagonal spectrum (``rmtgaps verify``) never loads it.  A parallel
+run loads it in the parent before its pool forks (see
+:func:`rmtgaps.experiments._parallel_rows`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import prng
 
@@ -109,6 +114,8 @@ def eigen_tridiagonal(diag, offdiag) -> np.ndarray:
         raise ValueError("empty matrix")
     if d.size == 1:
         return d.copy()
+    import scipy.linalg  # loaded on first use; see the module docstring
+
     try:
         # sterf: implicit-shift QL/QR for eigenvalues only, the fastest route
         return scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)

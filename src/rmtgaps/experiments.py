@@ -5,6 +5,12 @@ Trials are embarrassingly parallel: each worker derives its streams from
 aggregates in trial order.  The aggregate is therefore bit-identical for
 any worker count, which the determinism contract of the CLI relies on.
 
+A run with a pool imports ``scipy.linalg`` (the tridiagonal eigensolver) in
+the parent just before the pool forks.  The ensemble module loads it lazily,
+so that ``rmtgaps verify`` never pays for it; without the parent-side load
+every forked worker of every run would import it anew, about 0.3 s of CPU
+each, since each run starts its own pool.
+
 Statistical pass/fail thresholds live in the config (defaults below, taken
 from the acceptance targets); the experiment code never hard-codes one.
 """
@@ -277,6 +283,8 @@ def _parallel_rows(cfg: ExperimentConfig) -> list:
         chunks += [(cfg, part, lo, min(lo + size, total)) for lo in range(0, total, size)]
     if cfg.workers == 1:
         return [row for chunk in chunks for row in _pool_worker(chunk)]
+    import scipy.linalg  # noqa: F401 - once here, so the forked workers inherit it
+
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         return [row for rows in pool.map(_pool_worker, chunks) for row in rows]
 

@@ -169,19 +169,29 @@ class CoefficientTables:
 
 @lru_cache(maxsize=None)
 def coefficient_tables(size: int) -> CoefficientTables:
+    """The tables of beta_coeff, nu_coeff and alpha_coeff up to index size,
+    bit for bit: nu is one running product, and alpha takes each entry from
+    the same two factors in the same order, (2 sqrt(2) nu_j) / (sqrt(k-1) nu_{k-1})."""
     if size < 1:
         raise ValueError("table size must be positive")
-    nu = np.array([nu_coeff(k) for k in range(1, size + 1)])
+    nu = np.zeros(size)
+    val = _SQRT2 * _PI4
+    nu[0] = val
+    for l in range(1, (size - 1) // 2 + 1):
+        val *= math.sqrt((2 * l - 1) / (2 * l))
+        nu[2 * l] = val
     beta = np.zeros((size, size))
-    for j in range(1, size):
-        beta[j - 1, j] = beta_coeff(j, j + 1)
-        beta[j, j - 1] = beta_coeff(j + 1, j)
-    alpha = np.zeros((size, size))
-    for j in range(1, size + 1):
-        for k in range(j + 1, size + 1):
-            a = alpha_coeff(j, k)
-            alpha[j - 1, k - 1] = a
-            alpha[k - 1, j - 1] = -a
+    i = np.arange(size - 1)
+    steps = np.sqrt(2.0 * (i + 1.0))
+    beta[i, i + 1] = steps
+    beta[i + 1, i] = -steps
+    # column k - 1 of the upper triangle is nonzero only for even k
+    upper = np.zeros((size, size))
+    cols = np.arange(1, size, 2)
+    upper[:, cols] = (2.0 * _SQRT2 * nu)[:, None] / (np.sqrt(cols.astype(np.float64)) * nu[cols - 1])
+    upper = np.triu(upper, 1)
+    # the lower triangle is -upper^T, signed zeros included
+    alpha = np.where(np.tri(size, k=-1, dtype=bool), -upper.T, upper)
     return CoefficientTables(size=size, alpha=alpha, beta=beta, nu=nu)
 
 

@@ -1,12 +1,16 @@
 """CLI contract: exit codes, artifact formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import rmtgaps
 from rmtgaps import cli, ensemble, experiments, loggas, verify
 
 LOOSE = {
@@ -378,3 +382,63 @@ def test_crosscheck_starts_one_pool(tmp_path, monkeypatch):
     code, _ = run_tiny(tmp_path, "sampler-crosscheck", ["--workers", "2"])
     assert code == 0
     assert len(pools) == 1
+
+
+def _fresh_python(code: str, cwd: Path) -> str:
+    """Run ``code`` in a fresh interpreter that imports this rmtgaps; return its stdout.
+    The test process itself has long loaded scipy, so an import check needs its own."""
+    src = str(Path(rmtgaps.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-c", code]
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scipy_loads_only_on_the_monte_carlo_path(tmp_path):
+    # a top-level scipy import anywhere in the package would show after the verify call
+    runs = {kind: TINY_RUNS[kind] for kind in ("smallest-gap-law", "poisson-counts")}
+    code = f"""
+import contextlib, importlib, io, json, pkgutil, sys
+import rmtgaps
+from rmtgaps import cli
+for info in pkgutil.iter_modules(rmtgaps.__path__):
+    importlib.import_module("rmtgaps." + info.name)
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+seen = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["verify"] = (cli.main(["verify", "hermite"]), loaded())
+    for kind, (flags, config) in {runs!r}.items():
+        with open(kind + ".json", "w") as f:
+            json.dump(config, f)
+        argv = ["experiment", kind, *flags, "--workers", "2", "--config", kind + ".json", "--out", kind]
+        seen[kind] = (cli.main(argv), loaded())
+print(json.dumps(seen))
+"""
+    seen = json.loads(_fresh_python(code, tmp_path).splitlines()[-1])
+    assert seen["verify"] == [0, []]
+    # the eigensolver's scipy.linalg with the draws, scipy.special with the chi-square fit
+    assert seen["smallest-gap-law"][0] == 0 and "scipy.linalg" in seen["smallest-gap-law"][1]
+    assert seen["poisson-counts"] == [0, ["scipy.linalg", "scipy.special"]]
+
+
+def test_pool_forks_after_scipy_linalg_is_loaded(tmp_path):
+    # forked workers inherit the parent's modules; one loaded later is imported per worker
+    code = """
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from rmtgaps import experiments
+assert "scipy.linalg" not in sys.modules
+pools = []
+class CheckingPool(ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        assert "scipy.linalg" in sys.modules, "the pool was built before scipy.linalg was loaded"
+        pools.append(self)
+        super().__init__(*args, **kwargs)
+experiments.ProcessPoolExecutor = CheckingPool
+cfg = experiments.ExperimentConfig(kind="smallest-gap-law", n=50, trials=30, workers=2)
+experiments.run_experiment(cfg, write_files=False)
+print(len(pools))
+"""
+    assert _fresh_python(code, tmp_path).split() == ["1"]

@@ -1,6 +1,7 @@
 """Partition functions: closed forms, coefficient tables, Pfaffian route,
 and the direct constrained quadrature oracle."""
 
+import hashlib
 import math
 import tracemalloc
 from functools import reduce
@@ -83,6 +84,28 @@ def test_alpha_values():
     assert alpha_coeff(1, 2) == pytest.approx(2 * SQ2, rel=1e-14)
     assert alpha_coeff(3, 4) == pytest.approx(2 * SQ2 / math.sqrt(3), rel=1e-14)
     assert alpha_coeff(4, 3) == -alpha_coeff(3, 4)
+
+
+def _table_bytes(t) -> bytes:
+    return t.alpha.tobytes() + t.beta.tobytes() + t.nu.tobytes()
+
+
+def test_coefficient_table_bits_are_pinned():
+    # sha256 of the alpha, beta and nu bytes of every size up to MAX_PFAFFIAN_N,
+    # recorded from the tables built entry by entry from the scalar functions
+    digest = hashlib.sha256()
+    for size in range(1, loggas.MAX_PFAFFIAN_N + 1):
+        digest.update(_table_bytes(loggas.coefficient_tables(size)))
+    assert digest.hexdigest() == "dade65ab5883b629d4361ee4e78b1241d96de612ca49b2f4765a78f22b00464a"
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 21])
+def test_coefficient_tables_match_scalar_functions_bitwise(size):
+    alpha = np.array([[alpha_coeff(j, k) for k in range(1, size + 1)] for j in range(1, size + 1)])
+    beta = np.array([[beta_coeff(j, k) for k in range(1, size + 1)] for j in range(1, size + 1)])
+    nu = np.array([nu_coeff(k) for k in range(1, size + 1)])
+    want = loggas.CoefficientTables(size, alpha, beta, nu)
+    assert _table_bytes(loggas.coefficient_tables(size)) == _table_bytes(want)
 
 
 def test_alpha_against_quadrature_oracle():
