@@ -1,8 +1,8 @@
 """Hermite polynomials, oscillator wave functions and their quadrature.
 
 The oscillator functions phi_j(x) = (2^j j! sqrt(pi))^{-1/2} e^{-x^2/2} H_j(x)
-form an orthonormal basis of L^2(R).  Everything here is evaluated through
-the normalized three-term recurrence
+form an orthonormal basis of L^2(R).  They are evaluated through the
+normalized three-term recurrence
 
     phi_{j+1} = x*sqrt(2/(j+1))*phi_j - sqrt(j/(j+1))*phi_{j-1},
 
@@ -11,7 +11,8 @@ never through the raw 2^j j! formula, which overflows near j ~ 150.
 Gaussian-times-polynomial functions F(x) = e^{-x^2/2} prod (x - root_i) are
 carried as coefficient vectors in the phi basis (:class:`WaveExpansion`),
 where multiplication by x, differentiation and L^2 norms are exact sparse
-recurrences.
+recurrences.  The band and offset pair integrals are the exception: their
+dense-grid quadrature evaluates |F| straight from the roots.
 """
 
 from __future__ import annotations
@@ -89,17 +90,14 @@ def hermite_coeff_closed(j: int, power: int) -> int:
     return (-1) ** m * 2 ** (j - m) * math.comb(j, 2 * m) * math.factorial(2 * m) // (2**m * math.factorial(m))
 
 
-def _recurrence_rows(jmax: int, x, gaussian: bool, out: np.ndarray | None = None) -> np.ndarray:
+def _recurrence_rows(jmax: int, x, gaussian: bool) -> np.ndarray:
     """Rows 0..jmax of the normalized recurrence: phi_j(x) when ``gaussian``,
     otherwise the polynomial factor phi_j(x) * e^{x^2/2}.
 
-    The rows are written into ``out`` (shape (jmax+1, len(x))) when given,
-    else into a new array, which is returned.  Every pass runs in place in
-    the output rows and one scratch row, so a caller that evaluates many
-    grids reuses its buffer instead of allocating per row.
+    Every pass runs in place in the output rows and one scratch row.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    rows = np.empty((jmax + 1, xv.size)) if out is None else out
+    rows = np.empty((jmax + 1, xv.size))
     r = list(rows)  # row views made once; on short rows indexing costs as much as a pass
     if gaussian:
         np.multiply(xv, -0.5, out=r[0])
@@ -230,12 +228,22 @@ def derivative_energy_pair(roots, n: int) -> tuple:
     return d.l2_norm_sq(), 2.0 * n * w.l2_norm_sq()
 
 
-def _dense_grid(roots, step=1.0 / 2048.0):
-    rts = np.asarray(roots, dtype=np.float64).ravel()
+def _dense_grid(rts: np.ndarray, step=1.0 / 2048.0):
     spread = float(np.max(np.abs(rts))) if rts.size else 0.0
     half = spread + 12.0
     count = int(np.ceil(2 * half / step)) + 1
     return np.linspace(-half, half, count)
+
+
+def _abs_wave(rts: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|F(x)| = e^{-x^2/2} |prod (x - root_i)|, written into ``out``."""
+    np.multiply(x, x, out=out)
+    np.multiply(out, -0.5, out=out)
+    np.exp(out, out=out)
+    for r in rts:
+        np.subtract(x, r, out=scratch)
+        np.multiply(out, scratch, out=out)
+    return np.abs(out, out=out)
 
 
 def _offset_weighted_integral(roots, lo: float, hi: float, order: int = 48) -> float:
@@ -243,23 +251,25 @@ def _offset_weighted_integral(roots, lo: float, hi: float, order: int = 48) -> f
     autocorrelation of F; equals the pair integral over the offset window.
 
     T(t) is the trapezoid value of integral |F(x)| |F(x + t)| dx on a dense
-    grid, at each Gauss-Legendre node t.  All shifts share one set of
-    buffers (shifted grid, recurrence rows, wave values, trapezoid terms)
-    that every pass writes in place.
+    grid, at each Gauss-Legendre node t.  |F| is evaluated from the roots
+    (no phi expansion), and the trapezoid weights are folded into |F(grid)|
+    once, so each shift costs one |F(grid + t)| pass in reused buffers, one
+    multiply and one pairwise sum.  No BLAS call touches a grid-length
+    array, so the result does not depend on the BLAS thread count.
     """
-    grid = _dense_grid(roots)
-    w = roots_to_wave(roots)
-    rows = np.empty((w.degree + 1, grid.size))
-
-    def abs_wave(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.matmul(w.coefficients, _recurrence_rows(w.degree, x, True, out=rows), out=out)
-        return np.abs(out, out=out)
-
-    fabs = abs_wave(grid, np.empty(grid.size))
+    rts = np.asarray(roots, dtype=np.float64).ravel()
+    if rts.size > MAX_WAVE_ROOTS:
+        raise ValueError(f"at most {MAX_WAVE_ROOTS} roots supported")
+    grid = _dense_grid(rts)
     d = np.diff(grid)
+    weights = np.empty(grid.size)  # trapezoid: (d[i-1] + d[i]) / 2, one-sided at the ends
+    weights[0], weights[-1] = d[0] / 2.0, d[-1] / 2.0
+    weights[1:-1] = (d[:-1] + d[1:]) / 2.0
     xs = np.empty(grid.size)
     vals = np.empty(grid.size)
-    terms = np.empty(d.size)
+    scratch = np.empty(grid.size)
+    weighted = _abs_wave(rts, grid, np.empty(grid.size), scratch)
+    np.multiply(weighted, weights, out=weighted)
     gl_x, gl_w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ts = mid + half * gl_x
@@ -267,12 +277,8 @@ def _offset_weighted_integral(roots, lo: float, hi: float, order: int = 48) -> f
     corr = np.empty(order)
     for i, t in enumerate(ts):
         np.add(grid, t, out=xs)
-        np.multiply(fabs, abs_wave(xs, vals), out=vals)
-        # np.trapezoid's passes in its order: sum of d * (y[1:] + y[:-1]) / 2.0
-        np.add(vals[1:], vals[:-1], out=terms)
-        np.multiply(d, terms, out=terms)
-        np.divide(terms, 2.0, out=terms)
-        corr[i] = terms.sum()
+        np.multiply(weighted, _abs_wave(rts, xs, vals, scratch), out=vals)
+        corr[i] = vals.sum()
     return 2.0 * float(np.dot(wts, ts * corr))
 
 

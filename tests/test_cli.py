@@ -117,6 +117,17 @@ def test_verify_lemma10_takes_cases(tmp_path):
     assert report["config"]["cases"] == 3
 
 
+def test_verify_lemma10_bytes_independent_of_blas_threads(tmp_path):
+    # the pair-integral quadrature makes no BLAS call on its grid, so a run whose
+    # BLAS is pinned to one thread writes the same bytes as this process
+    argv = ["verify", "lemma10", "--cases", "7", "--reproducible"]
+    assert run([*argv, "--out", str(tmp_path / "here")]) == 0
+    code = f"import sys; from rmtgaps import cli; sys.exit(cli.main({[*argv, '--out', 'pinned']!r}))"
+    _fresh_python(code, tmp_path, OPENBLAS_NUM_THREADS="1")
+    for name in ("verify_lemma10.csv", "verify_lemma10.json"):
+        assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
 def test_verify_lemma9_holds_up_to_the_advertised_limit():
     assert run(["verify", "lemma9", "--n-max", str(loggas.MAX_PFAFFIAN_N)]) == 0
 
@@ -384,11 +395,13 @@ def test_crosscheck_starts_one_pool(tmp_path, monkeypatch):
     assert len(pools) == 1
 
 
-def _fresh_python(code: str, cwd: Path) -> str:
-    """Run ``code`` in a fresh interpreter that imports this rmtgaps; return its stdout.
+def _fresh_python(code: str, cwd: Path, **env_vars) -> str:
+    """Run ``code`` in a fresh interpreter that imports this rmtgaps, with ``env_vars``
+    added to its environment; return its stdout.
     The test process itself has long loaded scipy, so an import check needs its own."""
     src = str(Path(rmtgaps.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(env_vars)
     cmd = [sys.executable, "-c", code]
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

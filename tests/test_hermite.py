@@ -8,7 +8,9 @@ import pytest
 
 from rmtgaps import verify
 from rmtgaps.hermite import (
+    MAX_WAVE_ROOTS,
     WaveExpansion,
+    _dense_grid,
     derivative_energy_pair,
     gauss_hermite,
     hermite_coeff_closed,
@@ -134,6 +136,15 @@ def test_wave_root_cap():
         roots_to_wave(np.zeros(61))
 
 
+def test_pair_integrals_keep_the_root_cap():
+    # the dense-grid quadrature evaluates |F| from the roots, not through roots_to_wave
+    too_many = np.zeros(MAX_WAVE_ROOTS + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_WAVE_ROOTS} roots"):
+        pair_integral_band(too_many, 0.2)
+    with pytest.raises(ValueError, match=f"at most {MAX_WAVE_ROOTS} roots"):
+        pair_integral_offsets(too_many, 0.05, 0.15)
+
+
 def test_derivative_of_ground_state():
     d = wave_derivative(WaveExpansion(np.array([1.0])))
     assert d.coefficients == pytest.approx([0.0, -1 / math.sqrt(2)], abs=1e-15)
@@ -224,9 +235,36 @@ def test_root_box_integral_bound():
         assert 0.0 <= val <= n * c**4 * norm * (1 + 1e-6)
 
 
-# bits recorded before the recurrence wrote into reused buffers; every pass
-# keeps its operation and order, so the values stay, for a given numpy build
+def _trapezoid_pair_integral(roots, lo, hi):
+    # reference: plain trapezoid of |F(x)| |F(x + t)| with F from its phi expansion,
+    # on the same grid and Gauss-Legendre rule as the quadrature under test
+    w = roots_to_wave(roots)
+    grid = _dense_grid(np.asarray(roots, dtype=np.float64))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(48)
+    ts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_x
+    fabs = np.abs(wave_eval(w, grid))
+    corr = [np.trapezoid(fabs * np.abs(wave_eval(w, grid + t)), grid) for t in ts]
+    return 2.0 * float(np.sum(0.5 * (hi - lo) * gl_w * ts * corr))
+
+
+def test_pair_integrals_match_trapezoid_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        roots = rng.uniform(-2.0, 2.0, int(rng.integers(1, 7)))
+        assert pair_integral_band(roots, 0.2) == pytest.approx(_trapezoid_pair_integral(roots, 0.0, 0.2), rel=1e-13)
+        assert pair_integral_offsets(roots, 0.05, 0.15) == pytest.approx(
+            _trapezoid_pair_integral(roots, 0.05, 0.15), rel=1e-13
+        )
+
+
+# bits of |F| evaluated from the roots with the trapezoid weights folded in;
+# the values stay for a given numpy build
 PAIR_INTEGRAL_BITS = {
+    (-1.25, 0.5, 1.75): ("0x1.df4427138e313p-4", "0x1.e42cb4fc2289ep-5"),
+    (-0.8, -0.1, 0.3, 1.1, 1.9): ("0x1.e23350bc87196p+1", "0x1.e4571d77bda7ap+0"),
+}
+# bits of the earlier route (phi expansion through the recurrence, np.trapezoid's passes)
+RECURRENCE_PAIR_INTEGRAL_BITS = {
     (-1.25, 0.5, 1.75): ("0x1.df4427138e314p-4", "0x1.e42cb4fc228a0p-5"),
     (-0.8, -0.1, 0.3, 1.1, 1.9): ("0x1.e23350bc8719ep+1", "0x1.e4571d77bda81p+0"),
 }
@@ -236,6 +274,8 @@ def test_pair_integrals_bits_pinned():
     for roots, (band, offsets) in PAIR_INTEGRAL_BITS.items():
         assert pair_integral_band(list(roots), 0.2).hex() == band
         assert pair_integral_offsets(list(roots), 0.05, 0.15).hex() == offsets
+        for new, old in zip((band, offsets), RECURRENCE_PAIR_INTEGRAL_BITS[roots]):
+            assert float.fromhex(new) == pytest.approx(float.fromhex(old), rel=1e-14, abs=0.0)
 
 
 def test_recurrence_bytes_pinned():
