@@ -9,9 +9,10 @@ explicit flags; the merged config is echoed into every output header so a
 run can be reproduced from its own artifacts.  Exit codes: 0 success,
 1 statistical or verification failure, 2 usage error, 3 internal error.
 
-``verify`` runs on numpy alone and never loads scipy; the Monte Carlo
-commands load ``scipy.linalg`` and ``scipy.special`` where they first call
-them, so no command pays for both imports (about 0.4 s) at start-up.
+``verify`` runs on numpy alone and never loads scipy.  The Monte Carlo
+commands load ``scipy.linalg`` with their first tridiagonal draw and
+``scipy.special`` with their first fit (KS test, gap-law CDF or chi-square),
+and never ``scipy.stats``; so no command pays for these imports at start-up.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ run loads it in the parent before its pool forks (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ class EnsembleSpec:
     sampler: str = SAMPLER_TRIDIAGONAL
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if self.scaling not in (SCALING_UNIT, SCALING_NSCALED):
             raise ValueError(f"unknown scaling {self.scaling!r}")
         if self.sampler not in (SAMPLER_DENSE, SAMPLER_TRIDIAGONAL):

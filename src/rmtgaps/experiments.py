@@ -62,7 +62,8 @@ _MIN_TRIALS = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+    # NaN (the one value unequal to itself) would make every comparison a silent FAIL
+    return isinstance(value, Real) and not isinstance(value, bool) and value == value
 
 
 # checks by the annotation of each ExperimentConfig field

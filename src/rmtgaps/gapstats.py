@@ -8,9 +8,10 @@ x^{beta+1} is the conjectured shape for other Dyson indices beta.
 
 Goodness-of-fit helpers (one- and two-sample Kolmogorov-Smirnov with the
 asymptotic p-value, chi-square Poisson fit, falling factorials) operate on
-plain arrays so they can be reused on any experiment output.  The chi-square
-fit loads ``scipy.special`` when it is called, not with this module: the
-import costs about 0.3 s, and only poisson-counts aggregates need it.
+plain arrays so they can be reused on any experiment output, and the limit
+laws evaluate elementwise on arrays.  The KS tests, the k-th gap law and the
+chi-square fit load ``scipy.special`` on first use, not with this module: no
+process that never fits a law (``rmtgaps verify``) pays for the import.
 """
 
 from __future__ import annotations
@@ -92,46 +93,44 @@ def kth_gap_tau(spectrum, k: int) -> float:
     return float(tau_sequence(spectrum, k)[k - 1])
 
 
-def _law_power(x: float, beta: float) -> float:
+def _law_power(x: np.ndarray, beta: float) -> np.ndarray:
     """x^{beta+1}; at beta = 1 the product x*x, which x ** 2.0 does not
-    always round to."""
-    return x * x if beta == 1.0 else x ** (beta + 1.0)
+    always round to.  An overflow to inf is the law's limit: CDF 1, density 0."""
+    with np.errstate(over="ignore"):
+        return x * x if beta == 1.0 else x ** (beta + 1.0)
 
 
-def limiting_tau_cdf(k: int, x: float, beta: float = 1.0) -> float:
-    """P(tau_k <= x) in the limit: the regularized lower incomplete gamma
-    of integer order k at y = x^{beta+1}, i.e. 1 - e^{-y} sum_{j<k} y^j/j!.
-    beta = 1 is the GOE law of the k-th smallest gap."""
+def limiting_tau_cdf(k: int, x, beta: float = 1.0):
+    """P(tau_k <= x) in the limit, elementwise: the regularized lower
+    incomplete gamma P(k, y) at y = x^{beta+1}, i.e. 1 - e^{-y} sum_{j<k} y^j/j!,
+    and 0 for x <= 0.  beta = 1 is the GOE law of the k-th smallest gap."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if x <= 0:
-        return 0.0
-    y = _law_power(x, beta)
-    tail = math.fsum(math.exp(-y + j * math.log(y) - math.lgamma(j + 1)) for j in range(k))
-    return min(1.0, max(0.0, 1.0 - tail))
+    from scipy.special import gammainc  # loaded on first use; see the module docstring
+
+    return gammainc(k, _law_power(np.maximum(x, 0.0), beta))
 
 
-def limiting_tau_pdf(k: int, x: float, beta: float = 1.0) -> float:
-    """Limit density (beta+1) x^{k(beta+1)-1} e^{-x^{beta+1}} / (k-1)!,
-    which is 2 x^{2k-1} e^{-x^2} / (k-1)! for the GOE."""
+def limiting_tau_pdf(k: int, x, beta: float = 1.0):
+    """Limit density (beta+1) x^{k(beta+1)-1} e^{-x^{beta+1}} / (k-1)!, elementwise,
+    which is 2 x^{2k-1} e^{-x^2} / (k-1)! for the GOE, and 0 for x <= 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if x <= 0:
-        return 0.0
+    from scipy.special import xlogy  # a log(x), and -inf at x = 0 without a warning
+
+    x = np.maximum(x, 0.0)
     b1 = beta + 1.0
-    return math.exp(
-        math.log(b1) + (k * b1 - 1.0) * math.log(x) - _law_power(x, beta) - math.lgamma(k)
-    )
+    return np.exp(math.log(b1) + xlogy(k * b1 - 1.0, x) - _law_power(x, beta) - math.lgamma(k))
 
 
-def two_by_two_gap_cdf(s: float) -> float:
+def two_by_two_gap_cdf(s):
     """P(gap <= s) for the eigenvalue gap of a 2x2 GOE matrix: 1 - e^{-s^2/4}."""
-    return 1.0 - math.exp(-s * s / 4.0)
+    return 1.0 - np.exp(-s * s / 4.0)
 
 
-def two_by_two_gap_pdf(s: float) -> float:
+def two_by_two_gap_pdf(s):
     """Density (s/2) e^{-s^2/4} of the 2x2 GOE eigenvalue gap."""
-    return 0.5 * s * math.exp(-s * s / 4.0)
+    return 0.5 * s * np.exp(-s * s / 4.0)
 
 
 def poisson_intensity(interval) -> float:
@@ -164,48 +163,27 @@ class EmpiricalDistribution:
         return self.values.size
 
 
-def kolmogorov_sf(x: float) -> float:
-    """Complementary CDF of the Kolmogorov distribution.
-
-    Alternating series for large x, Jacobi-theta transformed series for
-    small x; terms below 1e-12 stop the summation.
-    """
-    if x <= 0:
-        return 1.0
-    if x < 1.18:
-        # sum sqrt(2 pi)/x * exp(-(2j-1)^2 pi^2 / (8 x^2)) is the CDF
-        acc = 0.0
-        for j in range(1, 200):
-            term = math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8.0 * x * x))
-            acc += term
-            if term < 1e-12:
-                break
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / x * acc))
-    acc = 0.0
-    for j in range(1, 200):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * x * x)
-        acc += term
-        if abs(term) < 1e-12:
-            break
-    return min(1.0, max(0.0, acc))
-
-
 def ks_test(samples: EmpiricalDistribution, cdf) -> tuple:
-    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
+    ``cdf`` maps an array of sample values to the array of their CDF values."""
     v = samples.values
     n = v.size
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples")
-    f = np.array([cdf(x) for x in v])
+    from scipy.special import kolmogorov  # the Kolmogorov survival function
+
+    f = cdf(v)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
     d = float(max(d_plus, d_minus))
-    return d, kolmogorov_sf(math.sqrt(n) * d)
+    return d, float(kolmogorov(math.sqrt(n) * d))
 
 
 def ks_two_sample(a: EmpiricalDistribution, b: EmpiricalDistribution) -> tuple:
     """Two-sample Kolmogorov-Smirnov with the asymptotic p-value."""
+    from scipy.special import kolmogorov
+
     va, vb = a.values, b.values
     pooled = np.concatenate([va, vb])
     pooled.sort(kind="mergesort")
@@ -213,7 +191,7 @@ def ks_two_sample(a: EmpiricalDistribution, b: EmpiricalDistribution) -> tuple:
     fb = np.searchsorted(vb, pooled, side="right") / vb.size
     d = float(np.max(np.abs(fa - fb)))
     ne = va.size * vb.size / (va.size + vb.size)
-    return d, kolmogorov_sf(math.sqrt(ne) * d)
+    return d, float(kolmogorov(math.sqrt(ne) * d))
 
 
 def falling_factorial(count_samples, k: int) -> np.ndarray:
@@ -228,7 +206,9 @@ def falling_factorial(count_samples, k: int) -> np.ndarray:
 
 
 def _poisson_pmf(kk: np.ndarray, mu: float) -> np.ndarray:
-    return np.exp(kk * math.log(mu) - mu - np.array([math.lgamma(x + 1) for x in kk]))
+    from scipy.special import gammaln
+
+    return np.exp(kk * math.log(mu) - mu - gammaln(kk + 1))
 
 
 def poisson_gof(count_samples, mu: float) -> float:

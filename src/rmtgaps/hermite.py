@@ -29,6 +29,8 @@ MAX_WAVE_ROOTS = 60
 _PI4 = math.pi ** 0.25
 # sqrt(j/2) for j = 1..MAX_WAVE_ROOTS: the ladder factors of x*phi_j in roots_to_wave
 _HALF_ROOTS = np.sqrt(np.arange(1, MAX_WAVE_ROOTS + 1) / 2.0)
+# the 48-point Gauss-Legendre rule on [-1, 1] of both pair-integral quadratures
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ def _abs_wave(rts: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarr
     return np.abs(out, out=out)
 
 
-def _offset_weighted_integral(roots, lo: float, hi: float, order: int = 48) -> float:
+def _offset_weighted_integral(roots, lo: float, hi: float) -> float:
     """2 * integral over t in (lo, hi) of t * T(t) dt with T the absolute
     autocorrelation of F; equals the pair integral over the offset window.
 
@@ -270,11 +272,10 @@ def _offset_weighted_integral(roots, lo: float, hi: float, order: int = 48) -> f
     scratch = np.empty(grid.size)
     weighted = _abs_wave(rts, grid, np.empty(grid.size), scratch)
     np.multiply(weighted, weights, out=weighted)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    ts = mid + half * gl_x
-    wts = half * gl_w
-    corr = np.empty(order)
+    ts = mid + half * _GL_X
+    wts = half * _GL_W
+    corr = np.empty(ts.size)
     for i, t in enumerate(ts):
         np.add(grid, t, out=xs)
         np.multiply(weighted, _abs_wave(rts, xs, vals, scratch), out=vals)
@@ -296,7 +297,7 @@ def pair_integral_offsets(roots, lo: float, hi: float) -> float:
     return _offset_weighted_integral(roots, lo, hi)
 
 
-def pair_integral_root_boxes(roots, c: float, order: int = 48) -> float:
+def pair_integral_root_boxes(roots, c: float) -> float:
     """Double integral of |x1-x2| |F(x1)| |F(x2)| over the union of the
     squares (root_i, root_i + c)^2, by inclusion-exclusion over the squares
     with a Gauss-Legendre tensor rule on each intersection rectangle."""
@@ -305,13 +306,12 @@ def pair_integral_root_boxes(roots, c: float, order: int = 48) -> float:
         return 0.0
     if rts.size > 16:
         raise ValueError("too many boxes for subset inclusion-exclusion")
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
     w = roots_to_wave(rts)
 
     def rect_integral(lo: float, hi: float) -> float:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts = mid + half * gl_x
-        wts = half * gl_w
+        pts = mid + half * _GL_X
+        wts = half * _GL_W
         fa = np.abs(wave_eval(w, pts))
         kernel = np.abs(pts[:, None] - pts[None, :])
         return float((wts * fa) @ kernel @ (wts * fa))

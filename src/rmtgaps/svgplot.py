@@ -28,12 +28,13 @@ def _escape(text: str) -> str:
 
 
 def histogram_svg(samples, bins: int, title: str, xlabel: str, density_fn=None) -> str:
-    """Histogram of the samples with an optional overlaid density curve."""
+    """Histogram of the samples with an optional overlaid density curve;
+    ``density_fn`` maps an array of points to the array of their densities."""
     data = np.asarray(samples, dtype=np.float64).ravel()
     if data.size == 0:
         raise ValueError("no samples to plot")
     lo, hi = float(np.min(data)), float(np.max(data))
-    if lo == hi:
+    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):  # too narrow for `bins` bins
         lo, hi = lo - 0.5, hi + 0.5
     counts, edges = np.histogram(data, bins=bins, range=(lo, hi), density=True)
 
@@ -41,7 +42,7 @@ def histogram_svg(samples, bins: int, title: str, xlabel: str, density_fn=None) 
     curve = None
     if density_fn is not None:
         xs = np.linspace(lo, hi, CURVE_POINTS)
-        ys = np.array([density_fn(x) for x in xs])
+        ys = density_fn(xs)
         ymax = max(ymax, float(np.max(ys)))
         curve = (xs, ys)
     ymax = 1.05 * ymax if ymax > 0 else 1.0

@@ -352,6 +352,9 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
         {"kind": "factorial-moments", "k_max": 0},
         {"kind": "poisson-counts", "trials": 200, "j_max": 0},
         {"kind": "poisson-counts", "trials": 200, "j_max": 20},
+        # NaN fails every comparison, so it would read as a silent FAIL
+        {"thresholds": {"tau1_mean_tol": float("nan")}},
+        {"thresholds": {"ks_max": {"1": float("nan")}}},
     ],
 )
 def test_bad_config_is_usage_error(tmp_path, monkeypatch, config):
@@ -370,6 +373,27 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch, config):
     args = ["experiment", kind, "--config", str(cfg)]
     assert run(args + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_infinite_threshold_is_allowed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thresholds": {**LOOSE, "tau1_mean_tol": float("inf")}}))
+    args = ["experiment", "smallest-gap-law", "--n", "50", "--trials", "30", "--config", str(cfg)]
+    assert run(args + ["--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_non_finite_beta_is_usage_error(tmp_path, beta):
+    out = tmp_path / "o"
+    args = ["experiment", "conjecture-beta", "--beta", beta, "--n", "10", "--trials", "20"]
+    assert run(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_huge_beta_runs_to_a_verdict(tmp_path):
+    # x^{beta+1} under- and overflows in the law, and all scaled gaps round to one value
+    args = ["experiment", "conjecture-beta", "--beta", "1e300", "--n", "10", "--trials", "20"]
+    assert run(args + ["--out", str(tmp_path / "o")]) == 0
 
 
 def test_internal_value_error_is_not_usage_error(tmp_path, monkeypatch):
@@ -418,7 +442,7 @@ from rmtgaps import cli
 for info in pkgutil.iter_modules(rmtgaps.__path__):
     importlib.import_module("rmtgaps." + info.name)
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+    return [m for m in ("scipy.linalg", "scipy.special", "scipy.stats") if m in sys.modules]
 seen = {{}}
 with contextlib.redirect_stdout(io.StringIO()):
     seen["verify"] = (cli.main(["verify", "hermite"]), loaded())
@@ -431,8 +455,8 @@ print(json.dumps(seen))
 """
     seen = json.loads(_fresh_python(code, tmp_path).splitlines()[-1])
     assert seen["verify"] == [0, []]
-    # the eigensolver's scipy.linalg with the draws, scipy.special with the chi-square fit
-    assert seen["smallest-gap-law"][0] == 0 and "scipy.linalg" in seen["smallest-gap-law"][1]
+    # the eigensolver's scipy.linalg with the draws, scipy.special with the fits, never scipy.stats
+    assert seen["smallest-gap-law"] == [0, ["scipy.linalg", "scipy.special"]]
     assert seen["poisson-counts"] == [0, ["scipy.linalg", "scipy.special"]]
 
 

@@ -1,6 +1,7 @@
 """Gap observables: counting, limit laws, GOF."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,37 @@ def test_limit_cdf_values():
     assert gs.limiting_tau_cdf(3, 0.0) == 0.0
 
 
+def test_limit_cdf_where_the_law_power_underflows():
+    # x^{beta+1} rounds to 0 at x = 1e-200; the CDF is 0 there, not a domain error
+    for beta in (1.0, 2.0, 4.0):
+        for k in (1, 2, 3):
+            assert gs.limiting_tau_cdf(k, 1e-200, beta) == 0.0
+
+
+def test_limit_cdf_on_arrays():
+    xs = np.array([-2.0, -1e-300, 0.0, 1e-200, 0.05, 0.3, 0.8, 1.0, 1.7, 2.5, 6.0])
+    for beta in (1.0, 2.0, 4.0):
+        for k in (1, 2, 3):
+            cdf = gs.limiting_tau_cdf(k, xs, beta)
+            assert cdf.shape == xs.shape
+            assert np.all(cdf[xs <= 0] == 0.0)
+            scalar = np.array([gs.limiting_tau_cdf(k, x, beta) for x in xs])
+            assert np.max(np.abs(cdf - scalar)) <= 1e-15
+        x = np.maximum(xs, 0.0)
+        y = x * x if beta == 1.0 else x ** (beta + 1.0)
+        assert np.max(np.abs(gs.limiting_tau_cdf(1, xs, beta) - (1 - np.exp(-y)))) <= 1e-15
+        assert np.max(np.abs(gs.limiting_tau_cdf(2, xs, beta) - (1 - np.exp(-y) * (1 + y)))) <= 1e-15
+
+
+def test_limit_pdf_is_zero_at_the_origin_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1.0, 2.0, 4.0):
+            for k in (1, 2, 3):
+                assert gs.limiting_tau_pdf(k, 0.0, beta) == 0.0
+                assert np.all(gs.limiting_tau_pdf(k, np.array([-1.0, 0.0]), beta) == 0.0)
+
+
 def test_limit_cdf_monotone_and_density_match():
     for beta in (1.0, 2.0, 4.0):
         for k in (1, 2, 3, 4):
@@ -88,7 +120,7 @@ def test_ks_self_consistency():
     for _ in range(100):
         u = rng.uniform(0, 1, 10_000)
         emp = gs.EmpiricalDistribution.from_samples(np.sqrt(-np.log(1 - u)))
-        _, p = gs.ks_test(emp, lambda x: 1 - math.exp(-x * x))
+        _, p = gs.ks_test(emp, lambda x: 1 - np.exp(-x * x))
         good += p > 0.001
     assert good >= 99
 
@@ -96,10 +128,10 @@ def test_ks_self_consistency():
 def test_ks_degenerate_and_shifted():
     emp = gs.EmpiricalDistribution.from_samples(np.full(64, 0.7))
     f = 1 - math.exp(-0.49)
-    d, _ = gs.ks_test(emp, lambda x: 1 - math.exp(-x * x))
+    d, _ = gs.ks_test(emp, lambda x: 1 - np.exp(-x * x))
     assert d == pytest.approx(max(f, 1 - f), rel=1e-12)
     shifted = gs.EmpiricalDistribution.from_samples(np.linspace(10, 11, 100))
-    d, p = gs.ks_test(shifted, lambda x: 1 - math.exp(-x * x))
+    d, p = gs.ks_test(shifted, lambda x: 1 - np.exp(-x * x))
     assert d > 0.99
     assert p < 1e-10
 

@@ -10,6 +10,8 @@ from rmtgaps import verify
 from rmtgaps.hermite import (
     MAX_WAVE_ROOTS,
     WaveExpansion,
+    _GL_W,
+    _GL_X,
     _dense_grid,
     derivative_energy_pair,
     gauss_hermite,
@@ -240,11 +242,10 @@ def _trapezoid_pair_integral(roots, lo, hi):
     # on the same grid and Gauss-Legendre rule as the quadrature under test
     w = roots_to_wave(roots)
     grid = _dense_grid(np.asarray(roots, dtype=np.float64))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(48)
-    ts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_x
+    ts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL_X
     fabs = np.abs(wave_eval(w, grid))
     corr = [np.trapezoid(fabs * np.abs(wave_eval(w, grid + t)), grid) for t in ts]
-    return 2.0 * float(np.sum(0.5 * (hi - lo) * gl_w * ts * corr))
+    return 2.0 * float(np.sum(0.5 * (hi - lo) * _GL_W * ts * corr))
 
 
 def test_pair_integrals_match_trapezoid_reference():
