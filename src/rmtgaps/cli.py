@@ -8,6 +8,8 @@ Configuration comes from an optional JSON file (--config) overridden by
 explicit flags; the merged config is echoed into every output header so a
 run can be reproduced from its own artifacts.  Exit codes: 0 success,
 1 statistical or verification failure, 2 usage error, 3 internal error.
+An ``OSError`` is a usage error only where ``--config`` is read or the
+output directory is made; elsewhere it is an internal error.
 
 ``verify`` runs on numpy alone and never loads scipy.  The Monte Carlo
 commands load ``scipy.linalg`` with their first tridiagonal draw and
@@ -90,7 +92,7 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
     if args.config:
         try:
             base = json.loads(Path(args.config).read_text())
-        except ValueError as exc:  # not JSON, or not text
+        except (OSError, ValueError) as exc:  # unreadable, not JSON, or not text
             raise UsageError(str(exc)) from exc
         if not isinstance(base, dict):
             raise UsageError("--config must hold a JSON object")
@@ -125,6 +127,8 @@ def _cmd_verify(args) -> int:
             raise UsageError("--cases must be positive")
         options["cases"] = args.cases
 
+    if args.out:
+        _make_out_dir(args.out)
     t0 = time.perf_counter()
     result = verify.run_suite(args.suite, options)
     wall = None if args.reproducible else time.perf_counter() - t0
@@ -155,6 +159,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _merge_config(args, args.kind)
+    _make_out_dir(cfg.out_dir)
     report = experiments.run_experiment(cfg)
     print(json.dumps(report.results, sort_keys=True, indent=2, default=reports._jsonify))
     print(f"experiment {cfg.kind}: {'PASS' if report.passed else 'FAIL'}")
@@ -163,6 +168,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _merge_config(args, "sample")
+    _make_out_dir(cfg.out_dir)
     path = experiments.write_spectra_csv(cfg)
     print(f"wrote {path}")
     return EXIT_OK
@@ -172,13 +178,22 @@ class UsageError(Exception):
     """Bad input from the command line or a config file: exit code 2."""
 
 
+def _make_out_dir(path: str) -> None:
+    # the one place besides --config where an OSError is the user's input at fault;
+    # anywhere else (a full disk mid-run, a failed fork) it is an internal error
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"verify": _cmd_verify, "experiment": _cmd_experiment, "sample": _cmd_sample}
     try:
         return commands[args.command](args)
-    except (UsageError, OSError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from rmtgaps import cli, loggas, verify
+from rmtgaps import cli, experiments, loggas, verify
 from rmtgaps.experiments import ExperimentConfig, run_experiment
 
 WORKERS = 2
@@ -210,7 +210,10 @@ def test_criterion_12_determinism(tmp_path):
     loose = {"ks_max": {"1": 0.9}, "tau1_mean_tol": 0.9}
     out = tmp_path / "det"
     blobs = []
+    drew = []
     for workers in (1, 4, 8):
+        # each run draws its own spectra, so the pools of 4 and 8 workers run too
+        experiments.spectra_memo.cache_clear()
         code = cli.main(
             [
                 "experiment",
@@ -231,6 +234,7 @@ def test_criterion_12_determinism(tmp_path):
             ]
         )
         assert code == 0
+        drew.append(experiments.spectra_memo.cache_info().hits == 0)
         blobs.append(
             (
                 (out / "smallest-gap-law.csv").read_bytes(),
@@ -238,8 +242,9 @@ def test_criterion_12_determinism(tmp_path):
                 (out / "smallest-gap-law_tau_1.svg").read_bytes(),
             )
         )
-    ok = blobs[0] == blobs[1] == blobs[2]
-    criterion(12, ok, "byte-identical CSV/JSON/SVG across workers 1, 4, 8 and re-runs")
+    ok = all(drew) and blobs[0] == blobs[1] == blobs[2]
+    detail = f"byte-identical CSV/JSON/SVG across workers 1, 4, 8 and re-runs, each drawn: {drew}"
+    criterion(12, ok, detail)
 
 
 def _write_cfg(tmp_path, thresholds):

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifact formats, reproducibility."""
 
+import errno
 import json
 import os
 import subprocess
@@ -292,8 +293,11 @@ def test_experiment_outputs_independent_of_workers(tmp_path):
     for kind in TINY_RUNS:
         blobs = []
         for workers in (1, 2):
+            # a memo hit would skip the draws, and the pool, of the second run
+            experiments.spectra_memo.cache_clear()
             code, out = run_tiny(tmp_path, kind, ["--workers", str(workers)])
             assert code == 0, kind
+            assert experiments.spectra_memo.cache_info().hits == 0, kind
             blobs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert f"{kind}.csv" in blobs[0] and f"{kind}.json" in blobs[0]
         assert blobs[0] == blobs[1], kind
@@ -382,6 +386,17 @@ def test_infinite_threshold_is_allowed(tmp_path):
     assert run(args + ["--out", str(tmp_path / "o")]) == 0
 
 
+def test_infinite_sigmas_passes_when_no_trial_hits(tmp_path):
+    # no trial has a lag-2 hit, so se = 0, and inf * se would be NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thresholds": {"sigmas": float("inf")}}))
+    args = ["experiment", "successive-gaps", "--n", "40", "--trials", "30", "--config", str(cfg)]
+    out = tmp_path / "o"
+    assert run(args + ["--out", str(out)]) == 0
+    results = json.loads((out / "successive-gaps.json").read_text())["results"]
+    assert results["probability_se"] == 0.0
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_non_finite_beta_is_usage_error(tmp_path, beta):
     out = tmp_path / "o"
@@ -405,6 +420,37 @@ def test_internal_value_error_is_not_usage_error(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "smallest-gap-law", "--config", "missing.json", "--out", "o"],
+        ["experiment", "smallest-gap-law", "--n", "20", "--trials", "12", "--out", "file/o"],
+        ["sample", "--n", "8", "--trials", "2", "--out", "file"],
+        ["verify", "dpoly", "--out", "file"],
+    ],
+)
+def test_unreadable_config_or_output_directory_is_usage_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("an output directory cannot be made here")
+    assert run(argv) == 2
+
+
+def _full_disk(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "target,attr,workers",
+    [(ensemble, "eigen_tridiagonal", "1"), (experiments, "ProcessPoolExecutor", "2")],
+)
+def test_os_error_inside_a_run_is_internal(tmp_path, monkeypatch, target, attr, workers):
+    # a full disk in the eigensolver, or a fork that fails, is no fault of the input
+    monkeypatch.setattr(target, attr, _full_disk)
+    experiments.spectra_memo.cache_clear()  # so the run draws, and reaches the patched call
+    code, _ = run_tiny(tmp_path, "smallest-gap-law", ["--workers", workers])
+    assert code == 3
+
+
 def test_crosscheck_starts_one_pool(tmp_path, monkeypatch):
     pools = []
 
@@ -414,8 +460,10 @@ def test_crosscheck_starts_one_pool(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    experiments.spectra_memo.cache_clear()  # all three parts are drawn, none read back
     code, _ = run_tiny(tmp_path, "sampler-crosscheck", ["--workers", "2"])
     assert code == 0
+    assert experiments.spectra_memo.cache_info()[:2] == (0, 3)
     assert len(pools) == 1
 
 

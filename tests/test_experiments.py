@@ -1,8 +1,13 @@
 """Experiment kinds not exercised by the acceptance module, plus serialization."""
 
+import importlib
+import pkgutil
+import sys
+
 import pytest
 
-from rmtgaps import ensemble, gapstats
+import rmtgaps
+from rmtgaps import ensemble, experiments, gapstats
 from rmtgaps.experiments import DEFAULT_THRESHOLDS, ExperimentConfig, run_experiment
 
 
@@ -127,3 +132,127 @@ def test_partial_ks_max_keeps_default_checks():
 def test_invalid_kind_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="nope")
+
+
+# ---------------------------------------------------------------------------
+# the spectra memo: runs on the same (spec, base_seed) share their draws
+
+
+@pytest.fixture
+def memo():
+    experiments.spectra_memo.cache_clear()
+    yield experiments.spectra_memo
+    experiments.spectra_memo.cache_clear()
+
+
+def _no_draws(*args):
+    raise AssertionError("a spectrum was drawn")
+
+
+def _gap_config(kind="smallest-gap-law", **kw):
+    return ExperimentConfig(kind=kind, **{"n": 20, "trials": 12, "base_seed": 1, **kw})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gap_law_kinds_draw_their_spectra_once(tmp_path, memo, monkeypatch, workers):
+    kinds = {
+        "smallest-gap-law": {"k_max": 3},
+        "poisson-counts": {"j_max": 2},
+        "factorial-moments": {"k_max": 2},
+    }
+
+    def run(kind):
+        out = tmp_path / kind  # the same for the cold and the warm run: it is echoed
+        shared = {"n": 40, "trials": 200, "base_seed": 4, "workers": workers, "reproducible": True}
+        run_experiment(_gap_config(kind, **shared, **kinds[kind], out_dir=str(out)))
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    cold = {}
+    for kind in kinds:
+        memo.cache_clear()
+        cold[kind] = run(kind)
+    memo.cache_clear()
+    first, *rest = kinds
+    assert run(first) == cold[first]
+    monkeypatch.setattr(ensemble, "sample", _no_draws)
+    for kind in rest:
+        assert run(kind) == cold[kind], kind
+    assert memo.cache_info()[:3] == (2, 1, 1)
+
+
+def test_memo_keys_on_the_spec_and_the_seed(memo):
+    run_experiment(_gap_config(), write_files=False)
+    others = [
+        _gap_config(n=21),
+        _gap_config(base_seed=2),
+        _gap_config(sampler=ensemble.SAMPLER_DENSE),
+        # conjecture-beta draws n-scaled spectra: first the scaling differs, then beta too
+        _gap_config("conjecture-beta"),
+        _gap_config("conjecture-beta", beta=2.0),
+    ]
+    for i, cfg in enumerate(others, start=2):
+        run_experiment(cfg, write_files=False)
+        assert memo.cache_info()[:3] == (0, i, i)
+    run_experiment(_gap_config(), write_files=False)
+    assert memo.cache_info().hits == 1
+
+
+def test_longer_run_redraws_and_a_shorter_one_reads_its_prefix(memo, monkeypatch):
+    cold = run_experiment(_gap_config(), write_files=False).results
+    run_experiment(_gap_config(trials=30), write_files=False)
+    assert memo.cache_info()[:3] == (0, 2, 1)
+    monkeypatch.setattr(ensemble, "sample", _no_draws)
+    assert run_experiment(_gap_config(), write_files=False).results == cold
+    assert memo.cache_info().hits == 1
+
+
+def test_memo_keeps_within_its_byte_bound(memo, monkeypatch):
+    over = _gap_config(base_seed=4, trials=30)
+    stored = experiments._parallel_rows(over)  # gathered in one block
+    memo.cache_clear()
+    block = 12 * 20 * 8  # bytes of one run's 12 spectra at n = 20
+    monkeypatch.setattr(memo, "max_bytes", 2 * block)
+    for seed in (1, 2, 3):
+        run_experiment(_gap_config(base_seed=seed), write_files=False)
+        assert memo.cache_info().nbytes <= 2 * block
+    assert memo.cache_info()[2:4] == (2, 2 * block)
+    run_experiment(_gap_config(base_seed=1), write_files=False)  # the oldest, evicted
+    assert memo.cache_info()[:2] == (0, 4)
+    # 30 spectra exceed the bound: observed chunk by chunk, to the same rows, and not stored
+    for _ in range(2):
+        assert experiments._parallel_rows(over) == stored
+    assert memo.cache_info()[:4] == (0, 6, 2, 2 * block)
+
+
+def test_rows_do_not_depend_on_the_chunk_size(memo, monkeypatch):
+    cfg = _gap_config(trials=30, workers=2)
+    rows = experiments._parallel_rows(cfg)
+    memo.cache_clear()
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)  # one spectrum per chunk
+    assert experiments._parallel_rows(cfg) == rows
+    assert memo.cache_info()[:2] == (0, 1)  # drawn again, not read back
+
+
+def test_stored_spectra_are_read_only(memo):
+    run_experiment(_gap_config(), write_files=False)
+    block = memo.get((ensemble.EnsembleSpec(20), 1), 12)
+    assert block.shape == (12, 20) and not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+
+
+def test_every_package_cache_clears_with_no_arguments():
+    # the benchmark clears, before each iteration, every object in an rmtgaps
+    # module namespace that has cache_clear and cache_info, classes included
+    for info in pkgutil.iter_modules(rmtgaps.__path__):
+        importlib.import_module(f"rmtgaps.{info.name}")
+    found = {}
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("rmtgaps."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
+                    found[id(obj)] = obj
+    assert id(experiments.spectra_memo) in found
+    for obj in found.values():
+        obj.cache_clear()
+        obj.cache_info()
