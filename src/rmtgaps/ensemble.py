@@ -1,6 +1,6 @@
 """Seeded eigenvalue samplers for the Gaussian orthogonal and beta ensembles.
 
-Two routes to the same spectral law at beta = 1, both drawn by :func:`sample`:
+Two routes to the same spectral law at beta = 1:
 
 * the dense route symmetrizes an iid Gaussian matrix, giving diagonal
   variance 1 and off-diagonal variance 1/2, the classical realization of the
@@ -11,12 +11,22 @@ Two routes to the same spectral law at beta = 1, both drawn by :func:`sample`:
 
 Spectra are deterministic functions of (spec, base_seed, trial_index): all
 randomness flows through the counter-based streams in :mod:`rmtgaps.prng`.
+:func:`sample_block` draws a chunk of trials as one float64 block, one sorted
+spectrum per row, each row bit-identical to a lone draw of its trial.  Its
+keys come from one ``prng.stream_keys`` call, and its variates are drawn in
+batches whose working set (``EnsembleSpec.draw_bytes``: n^2 floats per dense
+trial, n per tridiagonal one) stays within ``BATCH_BYTES``: hundreds of small
+matrices at a time, but one large one, which a bigger batch would only push
+out of cache.  A dense batch goes through one stacked ``eigvalsh``, a
+tridiagonal one through ``sterf`` row by row.  :func:`sample` (with
+:class:`SeedStream` and :class:`Spectrum`) is the one-row call, kept only for
+the benchmark's serial row recompute (``bench/workload.py``).
 
 ``scipy.linalg`` (about 0.3 s to import) is loaded on the first call of
 :func:`eigen_tridiagonal`, not with this module, so that a process which never
 draws a tridiagonal spectrum (``rmtgaps verify``) never loads it.  A parallel
 run loads it in the parent before its pool forks (see
-:func:`rmtgaps.experiments._parallel_rows`).
+:func:`rmtgaps.experiments._chunks`).
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ MAX_TRIDIAG_N = 20000
 _RESAMPLE_OFFSET = 1 << 48
 _MAX_RESAMPLES = 4
 
+# the most bytes of working set one batch of variates and eigensolves spans
+BATCH_BYTES = 1 << 14
+
 
 class NonConvergenceError(RuntimeError):
     """The tridiagonal eigensolver did not converge."""
@@ -49,8 +62,11 @@ class SamplingError(RuntimeError):
     """A trial failed; carries the trial index for reproduction."""
 
     def __init__(self, message: str, trial_index: int):
-        super().__init__(f"trial {trial_index}: {message}")
+        super().__init__(message, trial_index)  # both args, so a pool worker can pickle it
         self.trial_index = trial_index
+
+    def __str__(self) -> str:
+        return f"trial {self.trial_index}: {self.args[0]}"
 
 
 @dataclass(frozen=True)
@@ -80,29 +96,29 @@ class EnsembleSpec:
         if not 2 <= self.n <= limit:
             raise ValueError(f"{self.sampler} sampler supports 2 <= n <= {limit}")
 
+    @property
+    def draw_bytes(self) -> int:
+        """Bytes of one trial's working set: its n^2 dense or n tridiagonal floats."""
+        return 8 * self.n * (self.n if self.sampler == SAMPLER_DENSE else 1)
+
 
 @dataclass(frozen=True)
 class SeedStream:
-    """Base seed from which per-trial streams are derived by avalanche mixing."""
+    """Base seed of a run's per-trial streams (see :func:`sample`)."""
 
     base_seed: int
-
-    def key(self, trial_index: int) -> int:
-        return prng.stream_key(self.base_seed, trial_index)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalues of one sampled matrix plus provenance metadata."""
+    """Sorted eigenvalues of one sampled trial plus provenance metadata (see :func:`sample`).
+    ``resamples`` is read by the benchmark's tracer; the block path does not count redraws."""
 
     values: np.ndarray
     spec: EnsembleSpec
     base_seed: int
     trial_index: int
     resamples: int = 0
-
-    def __post_init__(self):
-        self.values.flags.writeable = False
 
 
 def eigen_tridiagonal(diag, offdiag) -> np.ndarray:
@@ -124,22 +140,12 @@ def eigen_tridiagonal(diag, offdiag) -> np.ndarray:
         raise NonConvergenceError(str(exc)) from exc
 
 
-def _strictly_increasing(values: np.ndarray) -> bool:
-    return bool(np.all(np.diff(values) > 0.0))
+def _increasing(block: np.ndarray) -> np.ndarray:
+    return np.all(block[:, 1:] > block[:, :-1], axis=1)
 
 
-def _with_resampling(draw, seed_stream: SeedStream, trial_index: int):
-    """Re-derive the stream on exact eigenvalue ties (floating collisions)."""
-    for attempt in range(_MAX_RESAMPLES + 1):
-        key = seed_stream.key(trial_index + attempt * _RESAMPLE_OFFSET)
-        values = draw(key)
-        if _strictly_increasing(values):
-            return values, attempt
-    raise SamplingError("persistent eigenvalue ties", trial_index)
-
-
-def sample(spec: EnsembleSpec, seed_stream: SeedStream, trial_index: int) -> Spectrum:
-    """Spectrum of one trial, drawn by the route the spec declares.
+def _draw(spec: EnsembleSpec, keys: np.ndarray) -> np.ndarray:
+    """One spectrum per key, drawn by the route the spec declares, ``BATCH_BYTES`` at a time.
 
     Dense: the spectrum of (A + A^T)/2 with A an iid standard Gaussian matrix.
 
@@ -149,22 +155,44 @@ def sample(spec: EnsembleSpec, seed_stream: SeedStream, trial_index: int) -> Spe
     convention the spectrum is divided by sqrt(n).
     """
     n = spec.n
-    if spec.sampler == SAMPLER_DENSE:
+    out = np.empty((keys.size, n))
+    step = max(1, BATCH_BYTES // spec.draw_bytes)
+    shapes = 0.5 * spec.beta * np.arange(n - 1, 0, -1, dtype=np.float64)
+    for i in range(0, keys.size, step):
+        batch = keys[i : i + step]
+        if spec.sampler == SAMPLER_DENSE:
+            a = prng.normals(batch, 0, n * n).reshape(-1, n, n)
+            out[i : i + step] = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(1, 2)))
+        else:
+            diag = prng.normals(batch, 0, n)
+            off = np.sqrt(prng.gammas(batch, 0, n - 1, shapes))
+            for j in range(batch.size):
+                out[i + j] = eigen_tridiagonal(diag[j], off[j])
+    if spec.scaling == SCALING_NSCALED:
+        out /= np.sqrt(n)
+    return out
 
-        def draw(key: int) -> np.ndarray:
-            a = prng.normals(key, 0, n * n).reshape(n, n)
-            return np.linalg.eigvalsh(0.5 * (a + a.T))
 
-    else:
-        shapes = 0.5 * spec.beta * np.arange(n - 1, 0, -1, dtype=np.float64)
+def sample_block(spec: EnsembleSpec, base_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Sorted spectra of trials lo..hi-1, one row per trial.
 
-        def draw(key: int) -> np.ndarray:
-            diag = prng.normals(key, 0, n)
-            off = np.sqrt(prng.gammas(key, 0, n - 1, shapes))
-            values = eigen_tridiagonal(diag, off)
-            if spec.scaling == SCALING_NSCALED:
-                values = values / np.sqrt(n)
-            return values
+    A row with an eigenvalue tie (a floating collision) is redrawn alone, up to
+    ``_MAX_RESAMPLES`` times, from the key of trial index t + a * 2^48 at attempt a."""
+    trials = np.arange(lo, hi)
+    block = _draw(spec, prng.stream_keys(base_seed, trials))
+    tied = trials[~_increasing(block)]
+    for attempt in range(1, _MAX_RESAMPLES + 1):
+        if not tied.size:
+            return block
+        keys = prng.stream_keys(base_seed, tied + attempt * _RESAMPLE_OFFSET)
+        block[tied - lo] = _draw(spec, keys)
+        tied = tied[~_increasing(block[tied - lo])]
+    if tied.size:
+        raise SamplingError("persistent eigenvalue ties", int(tied[0]))
+    return block
 
-    values, resamples = _with_resampling(draw, seed_stream, trial_index)
-    return Spectrum(values, spec, seed_stream.base_seed, trial_index, resamples)
+
+def sample(spec: EnsembleSpec, seed_stream: SeedStream, trial_index: int) -> Spectrum:
+    """One trial as a one-row block; kept for bench/workload.py's serial row recompute."""
+    values = sample_block(spec, seed_stream.base_seed, trial_index, trial_index + 1)[0]
+    return Spectrum(values, spec, seed_stream.base_seed, trial_index)

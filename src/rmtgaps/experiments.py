@@ -1,22 +1,28 @@
-"""Experiment orchestration: configs, parallel trial execution, aggregation.
+"""Experiment orchestration: configs, chunked parallel draws, aggregation.
 
 Trials are embarrassingly parallel: a trial's spectrum is a function of
-(spec, base_seed, trial_index) alone.  Workers draw chunks of trials and
-return them as float64 blocks, one sorted spectrum per row; the parent
-applies each row part's observable to every spectrum and aggregates in trial
-order.  The aggregate is therefore bit-identical for any worker count, which
-the determinism contract of the CLI relies on.
+(spec, base_seed, trial_index) alone.  A chunk of a row part's trials is one
+float64 block from draw to artifact: a worker draws it with
+:func:`rmtgaps.ensemble.sample_block`, one sorted spectrum per row, and the
+parent maps it through the part's observable to a dict of columns,
+concatenated per part in trial order, which the aggregators and the CSV
+writer read.  The artifacts are therefore bit-identical for any worker count
+and chunk size, which the determinism contract of the CLI relies on.  A chunk
+spans at most ``_CHUNK_BYTES`` of draw working set (``EnsembleSpec.draw_bytes``).
+``rmtgaps sample`` writes each chunk to its CSV as it arrives instead, so the
+export is never held whole.  No run draws or observes a trial alone: the
+one-row ``ensemble.sample`` and ``gapstats`` forms serve only the benchmark.
 
 The parent keeps the blocks it has drawn in ``spectra_memo``, keyed by
 (spec, base_seed), so a later run on the same spectra draws none of them:
 smallest-gap-law, poisson-counts and factorial-moments at one n and seed
 share their draws, and a run with fewer trials reads a prefix of a stored
-block.  Stored blocks are read-only and take at most ``SPECTRA_MAX_BYTES``
-(64 MiB), the oldest evicted first; a block over that bound is drawn and
-observed but not kept.  Reuse happens only within one process, such as a
-benchmark interpreter or a test session; a single CLI call draws every
-spectrum it needs.  A stored spectrum is the one a fresh draw would give, so
-no artifact depends on what the memo holds.
+block, observed in the same chunks as a draw.  Stored blocks are read-only
+and take at most ``SPECTRA_MAX_BYTES`` (64 MiB), the oldest evicted first; a
+block over that bound is drawn and observed but not kept.  Reuse happens only
+within one process, such as a benchmark interpreter or a test session; a
+single CLI call draws every spectrum it needs.  A stored spectrum is the one
+a fresh draw would give, so no artifact depends on what the memo holds.
 
 A run with a pool imports ``scipy.linalg`` (the tridiagonal eigensolver) in
 the parent just before the pool forks.  The ensemble module loads it lazily,
@@ -35,7 +41,7 @@ import time
 from collections import OrderedDict, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
+from itertools import count
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -204,7 +210,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# per-trial work: each row part draws from one spec and applies one observable
+# per-chunk work: a row part's spectra come from one spec, its columns from one observable
 
 
 def _run_spec(cfg: ExperimentConfig) -> ensemble.EnsembleSpec:
@@ -218,81 +224,52 @@ def _goe_spec(cfg: ExperimentConfig) -> ensemble.EnsembleSpec:
     return _run_spec(cfg)
 
 
-def _taus(cfg, v) -> dict:
-    tau = gapstats.tau_sequence(v, cfg.k_max)
-    return {f"tau_{k + 1}": float(tau[k]) for k in range(cfg.k_max)}
+def _taus(cfg, block) -> dict:
+    tau = gapstats.tau_sequence(block, cfg.k_max)
+    return {f"tau_{k + 1}": tau[:, k] for k in range(cfg.k_max)}
 
 
-def _window_counts(cfg, v) -> dict:
+def _all_lags(cfg, block) -> np.ndarray:
     # one pass over every lag: lag 1 is chi, the sum is chi_tilde
-    lags = gapstats.chi_tilde_counts(v, cfg.interval, v.size - 1)
-    return {
-        "chi": lags[0],
-        "chi_tilde": sum(lags),
-        **{f"lag_{j + 1}": lags[j] for j in range(cfg.j_max)},
-    }
+    return gapstats.chi_tilde_counts(block, cfg.interval, block.shape[1] - 1)
 
 
-def _raw_gaps(cfg, v) -> dict:
-    gaps = np.sort(np.diff(v))
-    return {f"t_{k + 1}": float(gaps[k]) for k in range(cfg.k_max)}
+def _window_counts(cfg, block) -> dict:
+    lags = _all_lags(cfg, block)
+    lag_j = {f"lag_{j + 1}": lags[:, j] for j in range(cfg.j_max)}
+    return {"chi": lags[:, 0], "chi_tilde": lags.sum(axis=1), **lag_j}
 
 
-def _spectrum(cfg, v) -> dict:
-    return {"n": cfg.n, "beta": cfg.beta, **{f"lambda_{i + 1}": float(x) for i, x in enumerate(v)}}
+def _raw_gaps(cfg, block) -> dict:
+    gaps = np.sort(np.diff(block, axis=1), axis=1)
+    return {f"t_{k + 1}": gaps[:, k] for k in range(cfg.k_max)}
 
 
-def _tau1(cfg, v) -> dict:
-    return {"value": gapstats.kth_gap_tau(v, 1)}
+def _tau1(cfg, block) -> dict:
+    return {"value": gapstats.tau_sequence(block, 1)[:, 0]}
 
 
-# row part -> (config -> spec of its spectra, (config, sorted eigenvalues) -> row fields)
+# row part -> (config -> spec of its spectra, (config, block of sorted spectra) -> columns)
 _PARTS = {
     "smallest-gap-law": (_goe_spec, _taus),
     "poisson-counts": (_goe_spec, _window_counts),
-    "factorial-moments": (
-        _goe_spec,
-        lambda cfg, v: {"chi_tilde": gapstats.chi_tilde_total(v, cfg.interval)},
-    ),
+    "factorial-moments": (_goe_spec, lambda cfg, b: {"chi_tilde": _all_lags(cfg, b).sum(axis=1)}),
     "successive-gaps": (
         _goe_spec,
-        lambda cfg, v: {"lag2_count": gapstats.chi_tilde_counts(v, (0.0, cfg.c0), 2)[1]},
+        lambda cfg, b: {"lag2_count": gapstats.chi_tilde_counts(b, (0.0, cfg.c0), 2)[:, 1]},
     ),
     "conjecture-beta": (
         lambda cfg: ensemble.EnsembleSpec(cfg.n, cfg.beta, ensemble.SCALING_NSCALED),
         _raw_gaps,
     ),
-    "sample": (_run_spec, _spectrum),
-    "dense_tau1": (
-        lambda cfg: ensemble.EnsembleSpec(cfg.n, sampler=ensemble.SAMPLER_DENSE),
-        _tau1,
-    ),
+    "sample": (_run_spec, None),  # written as drawn, see write_spectra_csv
+    "dense_tau1": (lambda cfg: ensemble.EnsembleSpec(cfg.n, sampler=ensemble.SAMPLER_DENSE), _tau1),
     "tridiag_tau1": (lambda cfg: ensemble.EnsembleSpec(cfg.n), _tau1),
     "gap_law_n2": (
         lambda cfg: ensemble.EnsembleSpec(2, sampler=ensemble.SAMPLER_DENSE),
-        lambda cfg, v: {"value": float(v[1] - v[0])},
+        lambda cfg, b: {"value": b[:, 1] - b[:, 0]},
     ),
 }
-
-
-def _spectra(spec: ensemble.EnsembleSpec, base_seed: int, lo: int, hi: int):
-    """Yield the sorted spectra of trials lo..hi-1."""
-    stream = ensemble.SeedStream(base_seed)
-    for t in range(lo, hi):
-        yield ensemble.sample(spec, stream, t).values
-
-
-def _draw_block(args) -> np.ndarray:
-    # top level, so pools can pickle it; one row per trial
-    return np.array(list(_spectra(*args)))
-
-
-def _rows(cfg: ExperimentConfig, part: str, spectra, start: int = 0):
-    """Yield the rows of trials start, start + 1, ...; a part other than the kind is named."""
-    observe = _PARTS[part][1]
-    label = {} if part == cfg.kind else {"part": part}
-    for t, v in enumerate(spectra, start):
-        yield {**label, "trial": t, **observe(cfg, v)}
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses blocks nbytes max_bytes")
@@ -300,9 +277,8 @@ CacheInfo = namedtuple("CacheInfo", "hits misses blocks nbytes max_bytes")
 # the bytes of spectra a process keeps; the acceptance fixtures' 4000 x 1000 block is 32 MB
 SPECTRA_MAX_BYTES = 64 << 20
 
-# the most bytes of spectra one drawn chunk carries, so that the few chunks the
-# parent holds in flight stay small however large n is
-_CHUNK_BYTES = 4 << 20
+# the most bytes of draw working set one chunk spans, so chunks in flight stay small at any n
+_CHUNK_BYTES = 64 << 10
 
 
 class _SpectraMemo:
@@ -353,46 +329,53 @@ spectra_memo = _SpectraMemo(SPECTRA_MAX_BYTES)
 del _SpectraMemo
 
 
-def _parallel_rows(cfg: ExperimentConfig) -> list:
-    """Rows of every part, in cfg.parts() and trial order.
+def _chunks(cfg: ExperimentConfig, keep: bool = True):
+    """Yield (part, first trial, block of sorted spectra) for every chunk, in
+    cfg.parts() and trial order.
 
-    A part's spectra come from the memo when it holds enough of them.  The
-    chunks of all other parts are drawn in one pool and observed as they
-    arrive; a part within the memo's bound is also gathered into one block
+    A part's chunks are sliced from the memo when it holds enough of its
+    spectra.  The chunks of all other parts are drawn in one pool; with
+    ``keep``, a part within the memo's bound is also gathered into one block
     and stored, and no other part is ever held whole."""
-    parts = cfg.parts()
-    keys = {part: (cfg.specs[part], cfg.base_seed) for part in parts}
-    rows = {part: [] for part in parts}
-    blocks, chunks = {}, []
-    for part, total in parts.items():
-        block = spectra_memo.get(keys[part], total)
-        if block is not None:
-            rows[part] += _rows(cfg, part, block)
-            continue
-        n = cfg.specs[part].n
-        if total * n * 8 <= spectra_memo.max_bytes:  # float64 spectra
-            blocks[part] = np.empty((total, n))
-        size = max(1, min(math.ceil(total / (cfg.workers * 4)), _CHUNK_BYTES // (n * 8)))
-        chunks += [(part, lo, min(lo + size, total)) for lo in range(0, total, size)]
+    keys, plan, blocks = {}, [], {}
+    for part, total in cfg.parts().items():
+        spec = cfg.specs[part]
+        keys[part] = (spec, cfg.base_seed)
+        stored = spectra_memo.get(keys[part], total)
+        if stored is None and keep and total * spec.n * 8 <= spectra_memo.max_bytes:  # float64
+            blocks[part] = np.empty((total, spec.n))
+        size = max(1, min(math.ceil(total / (cfg.workers * 4)), _CHUNK_BYTES // spec.draw_bytes))
+        plan += [(part, lo, min(lo + size, total), stored) for lo in range(0, total, size)]
 
     def gather(drawn):
-        for (part, lo, hi), chunk in zip(chunks, drawn):
-            chunk.flags.writeable = False  # as a stored block is, so every path observes alike
-            rows[part] += _rows(cfg, part, chunk, lo)
+        for part, lo, hi, stored in plan:
+            block = next(drawn) if stored is None else stored[lo:hi]
+            block.flags.writeable = False  # as a stored block is, so every path observes alike
             if part in blocks:
-                blocks[part][lo:hi] = chunk
+                blocks[part][lo:hi] = block
+            yield part, lo, block
+        for part, block in blocks.items():
+            spectra_memo.put(keys[part], block)
 
-    args = [(*keys[part], lo, hi) for part, lo, hi in chunks]
-    if cfg.workers == 1 or not chunks:
-        gather(map(_draw_block, args))
+    draws = [(*keys[part], lo, hi) for part, lo, hi, stored in plan if stored is None]
+    if cfg.workers == 1 or not draws:
+        yield from gather(ensemble.sample_block(*args) for args in draws)
     else:
         import scipy.linalg  # noqa: F401 - once here, so the forked workers inherit it
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            gather(pool.map(_draw_block, args))
-    for part, block in blocks.items():
-        spectra_memo.put(keys[part], block)
-    return [row for part in parts for row in rows[part]]
+            yield from gather(pool.map(ensemble.sample_block, *zip(*draws)))
+
+
+def _columns(cfg: ExperimentConfig) -> dict:
+    """part -> {column: array over the part's trials in trial order}, in cfg.parts() order."""
+    observed = {part: [] for part in cfg.parts()}
+    for part, _, block in _chunks(cfg):
+        observed[part].append(_PARTS[part][1](cfg, block))
+    return {
+        part: {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+        for part, chunks in observed.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +395,7 @@ def _count_histogram(counts, title: str) -> str:
 
 def _fit_gap_law(samples, k: int, beta: float, title: str, xlabel: str) -> tuple:
     """KS distance and p-value of samples against the k-th gap law, and their histogram."""
-    d, p = gapstats.ks_test(
-        gapstats.EmpiricalDistribution.from_samples(samples),
-        lambda x: gapstats.limiting_tau_cdf(k, x, beta),
-    )
+    d, p = gapstats.ks_test(samples, lambda x: gapstats.limiting_tau_cdf(k, x, beta))
     svg = svgplot.histogram_svg(
         samples,
         _HIST_BINS,
@@ -426,15 +406,15 @@ def _fit_gap_law(samples, k: int, beta: float, title: str, xlabel: str) -> tuple
     return d, p, svg
 
 
-def _agg_smallest_gap_law(cfg, rows):
+def _agg_smallest_gap_law(cfg, columns):
     thr = cfg.thresholds
-    results = {"trials": len(rows)}
+    results = {"trials": cfg.trials}
     passed = True
     svgs = {}
     for k in range(1, cfg.k_max + 1):
-        taus = np.array([r[f"tau_{k}"] for r in rows])
+        taus = columns[cfg.kind][f"tau_{k}"]
         d, p, svgs[f"tau_{k}.svg"] = _fit_gap_law(
-            taus, k, 1.0, f"normalized gap tau_{k}, n={cfg.n}, {len(rows)} trials", f"tau_{k}"
+            taus, k, 1.0, f"normalized gap tau_{k}, n={cfg.n}, {cfg.trials} trials", f"tau_{k}"
         )
         ks_max = thr["ks_max"].get(str(k))
         entry = {
@@ -457,10 +437,9 @@ def _agg_smallest_gap_law(cfg, rows):
     return results, passed, svgs
 
 
-def _agg_poisson_counts(cfg, rows):
+def _agg_poisson_counts(cfg, columns):
     thr = cfg.thresholds
-    chi = np.array([r["chi"] for r in rows], dtype=np.int64)
-    chi_tilde = np.array([r["chi_tilde"] for r in rows], dtype=np.int64)
+    chi, chi_tilde = columns[cfg.kind]["chi"], columns[cfg.kind]["chi_tilde"]
     mu = gapstats.poisson_intensity(cfg.interval)
     mean, se = _mean_se(chi.astype(np.float64))
     fm2, fm2_se = _mean_se(gapstats.falling_factorial(chi_tilde, 2))
@@ -469,7 +448,7 @@ def _agg_poisson_counts(cfg, rows):
     fm2_ok = abs(fm2 - mu * mu) <= thr["fm2_sigmas"] * fm2_se
     gof_ok = gof_p > thr["gof_p_min"]
     results = {
-        "trials": len(rows),
+        "trials": cfg.trials,
         "intensity": mu,
         "chi_mean": mean,
         "chi_mean_se": se,
@@ -485,11 +464,11 @@ def _agg_poisson_counts(cfg, rows):
     return results, bool(mean_ok and fm2_ok and gof_ok), svgs
 
 
-def _agg_factorial_moments(cfg, rows):
+def _agg_factorial_moments(cfg, columns):
     thr = cfg.thresholds
-    chi_tilde = np.array([r["chi_tilde"] for r in rows], dtype=np.float64)
+    chi_tilde = columns[cfg.kind]["chi_tilde"].astype(np.float64)
     base = gapstats.poisson_intensity(cfg.interval)
-    results = {"trials": len(rows)}
+    results = {"trials": cfg.trials}
     passed = True
     for k in range(1, cfg.k_max + 1):
         est, se = _mean_se(gapstats.falling_factorial(chi_tilde, k))
@@ -506,16 +485,16 @@ def _agg_factorial_moments(cfg, rows):
     return results, bool(passed), svgs
 
 
-def _agg_successive_gaps(cfg, rows):
+def _agg_successive_gaps(cfg, columns):
     thr = cfg.thresholds
-    counts = np.array([r["lag2_count"] for r in rows])
+    counts = columns[cfg.kind]["lag2_count"]
     hits = (counts > 0).astype(np.float64)
     p_hat = float(np.mean(hits))
     se = math.sqrt(p_hat * (1.0 - p_hat) / hits.size)
     bound = cfg.c0**4 / (8.0 * cfg.n)
     ok = p_hat <= bound + thr["sigmas"] * se if se > 0 else p_hat <= bound
     results = {
-        "trials": len(rows),
+        "trials": cfg.trials,
         "c0": cfg.c0,
         "probability": p_hat,
         "probability_se": se,
@@ -526,19 +505,11 @@ def _agg_successive_gaps(cfg, rows):
     return results, bool(ok), svgs
 
 
-def _agg_sampler_crosscheck(cfg, rows):
+def _agg_sampler_crosscheck(cfg, columns):
     thr = cfg.thresholds
-    dense = np.array([r["value"] for r in rows if r["part"] == "dense_tau1"])
-    tridiag = np.array([r["value"] for r in rows if r["part"] == "tridiag_tau1"])
-    gaps2 = np.array([r["value"] for r in rows if r["part"] == "gap_law_n2"])
-    d2, p2 = gapstats.ks_two_sample(
-        gapstats.EmpiricalDistribution.from_samples(dense),
-        gapstats.EmpiricalDistribution.from_samples(tridiag),
-    )
-    dg, pg = gapstats.ks_test(
-        gapstats.EmpiricalDistribution.from_samples(gaps2),
-        gapstats.two_by_two_gap_cdf,
-    )
+    dense, tridiag, gaps2 = (columns[part]["value"] for part in cfg.parts())
+    d2, p2 = gapstats.ks_two_sample(dense, tridiag)
+    dg, pg = gapstats.ks_test(gaps2, gapstats.two_by_two_gap_cdf)
     two_ok = p2 > thr["two_sample_p_min"]
     gap_ok = dg < thr["gap_law_ks_max"]
     results = {
@@ -563,18 +534,19 @@ def _agg_sampler_crosscheck(cfg, rows):
     return results, bool(two_ok and gap_ok), svgs
 
 
-def _agg_conjecture_beta(cfg, rows):
+def _agg_conjecture_beta(cfg, columns):
     """Exploratory: empirical scale by median matching, shape diagnostics only."""
     beta = cfg.beta
     expo = (beta + 2.0) / (beta + 1.0)
-    results = {"trials": len(rows), "beta": beta, "exponent": expo, "exploratory": True}
+    results = {"trials": cfg.trials, "beta": beta, "exponent": expo, "exploratory": True}
     svgs = {}
-    t1 = np.array([r["t_1"] for r in rows]) * cfg.n**expo
+    gaps = columns[cfg.kind]
+    t1 = gaps["t_1"] * cfg.n**expo
     median_target = math.log(2.0) ** (1.0 / (beta + 1.0))
     c_hat = median_target / float(np.median(t1))
     results["scale_estimate"] = c_hat
     for k in range(1, cfg.k_max + 1):
-        tk = np.array([r[f"t_{k}"] for r in rows]) * cfg.n**expo * c_hat
+        tk = gaps[f"t_{k}"] * cfg.n**expo * c_hat
         d, p, svgs[f"scaled_gap_{k}.svg"] = _fit_gap_law(
             tk, k, beta, f"scaled gap {k}, beta={beta}, n={cfg.n}", "scaled gap"
         )
@@ -595,9 +567,9 @@ _AGGREGATORS = {
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport:
     """Run all trials, aggregate, optionally write CSV/JSON/SVG artifacts."""
     t0 = time.perf_counter()
-    rows = _parallel_rows(cfg)
+    columns = _columns(cfg)
 
-    results, passed, svgs = _AGGREGATORS[cfg.kind](cfg, rows)
+    results, passed, svgs = _AGGREGATORS[cfg.kind](cfg, columns)
     wall = None if cfg.reproducible else time.perf_counter() - t0
     report = RunReport(
         command="experiment",
@@ -609,7 +581,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport
     )
     if write_files:
         out = Path(cfg.out_dir)
-        _write_rows(out / f"{cfg.kind}.csv", cfg, rows)
+        _write_rows(out / f"{cfg.kind}.csv", cfg, columns)
         reports.write_json(out / f"{cfg.kind}.json", report.to_dict())
         for name, svg in svgs.items():
             path = out / f"{cfg.kind}_{name}"
@@ -618,17 +590,24 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport
     return report
 
 
-def _write_rows(path: Path, cfg: ExperimentConfig, rows) -> None:
-    rows = iter(rows)
-    first = next(rows)
-    header = list(first.keys())
-    rows = ([r[h] for h in header] for r in chain([first], rows))
+def _write_rows(path: Path, cfg: ExperimentConfig, columns: dict) -> None:
+    """Write every part's columns as CSV rows; a part other than the kind is named."""
+    first = next(iter(columns))
+    header = ["part"] * (first != cfg.kind) + ["trial", *columns[first]]
+    rows = (
+        [*[part] * (part != cfg.kind), *cells]
+        for part, c in columns.items()
+        for cells in zip(count(), *c.values())
+    )
     reports.write_csv(path, cfg.echo_dict(), __version__, header, rows, cfg.reproducible)
 
 
 def write_spectra_csv(cfg: ExperimentConfig) -> Path:
-    """Raw spectra export: one CSV row per trial with all sorted eigenvalues."""
+    """Raw spectra export: one CSV row per trial with all sorted eigenvalues,
+    written chunk by chunk as the chunks are drawn."""
     out = Path(cfg.out_dir) / "spectra.csv"
-    spectra = _spectra(cfg.specs["sample"], cfg.base_seed, 0, cfg.trials)
-    _write_rows(out, cfg, _rows(cfg, "sample", spectra))
+    header = ["trial", "n", "beta", *(f"lambda_{i + 1}" for i in range(cfg.n))]
+    chunks = _chunks(cfg, keep=False)
+    rows = ([t, cfg.n, cfg.beta, *v] for _, lo, block in chunks for t, v in enumerate(block, lo))
+    reports.write_csv(out, cfg.echo_dict(), __version__, header, rows, cfg.reproducible)
     return out

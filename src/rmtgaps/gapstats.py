@@ -6,18 +6,21 @@ normalized k-th smallest gaps tau_k = 2^{-3/2} n t_k whose limit law has
 density 2 x^{2k-1} e^{-x^2} / (k-1)!.  The same law with x^2 replaced by
 x^{beta+1} is the conjectured shape for other Dyson indices beta.
 
-Goodness-of-fit helpers (one- and two-sample Kolmogorov-Smirnov with the
-asymptotic p-value, chi-square Poisson fit, falling factorials) operate on
-plain arrays so they can be reused on any experiment output, and the limit
-laws evaluate elementwise on arrays.  The KS tests, the k-th gap law and the
-chi-square fit load ``scipy.special`` on first use, not with this module: no
-process that never fits a law (``rmtgaps verify``) pays for the import.
+The lag counts and tau_k work along the last axis: one call maps a block of
+spectra, one per row, to a column per statistic.  The one-row forms
+``chi_count``, ``chi_tilde_total`` and ``kth_gap_tau`` are kept only for the
+benchmark's serial row recompute (``bench/workload.py``).  Goodness-of-fit
+helpers (one- and two-sample Kolmogorov-Smirnov with the asymptotic p-value,
+chi-square Poisson fit, falling factorials) operate on plain sample arrays so
+they can be reused on any experiment output, and the limit laws evaluate
+elementwise on arrays.  The KS tests, the k-th gap law and the chi-square fit
+load ``scipy.special`` on first use, not with this module: no process that
+never fits a law (``rmtgaps verify``) pays for the import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,68 +31,56 @@ KS_MIN_SAMPLES = 10
 GOF_MIN_SAMPLES = 200
 
 
-def _values(spectrum) -> np.ndarray:
-    vals = getattr(spectrum, "values", spectrum)
-    return np.asarray(vals, dtype=np.float64)
-
-
-def _inside(x: np.ndarray, interval) -> np.ndarray:
-    lo, hi = interval
-    return (x > lo) & (x < hi)
-
-
 # ---------------------------------------------------------------------------
 # counting statistics
 
 
-def _lag_counts(v: np.ndarray, interval, j_max: int) -> list:
-    """Counts of n*(lambda_{i+j} - lambda_i) in the window for j = 1..j_max.  On a sorted
-    spectrum lag-(j+1) distances dominate lag-j ones, so the pass stops at the first lag
-    whose smallest distance reaches the window top and pads the later lags with zeros."""
-    n = v.size
-    out = []
-    for j in range(1, min(j_max, n - 1) + 1):
-        d = (v[j:] - v[:-j]) * n
-        if np.min(d) >= interval[1]:
+def chi_tilde_counts(spectra, interval, j_max: int) -> np.ndarray:
+    """Per-lag counts of n*(lambda_{i+j} - lambda_i) in the window, j = 1..j_max, along the
+    last axis of a sorted spectrum or a block of them: shape (..., j_max), as int64.  The
+    pass stops at the first lag whose smallest distance over the block reaches the window
+    top, since on a sorted spectrum lag-(j+1) distances dominate lag-j ones."""
+    v = np.asarray(spectra, dtype=np.float64)
+    n = v.shape[-1]
+    if not 1 <= j_max <= n - 1:
+        raise ValueError("need 1 <= j_max <= n-1")
+    lo, hi = interval
+    counts = np.zeros(v.shape[:-1] + (j_max,), dtype=np.int64)
+    for j in range(1, j_max + 1):
+        d = (v[..., j:] - v[..., :-j]) * n
+        if np.min(d) >= hi:
             break
-        out.append(int(np.count_nonzero(_inside(d, interval))))
-    return out + [0] * (j_max - len(out))
+        counts[..., j - 1] = np.count_nonzero((d > lo) & (d < hi), axis=-1)
+    return counts
 
 
 def chi_count(spectrum, interval) -> int:
-    """Number of nearest-neighbor gaps with n*(gap) in the open interval."""
-    return _lag_counts(_values(spectrum), interval, 1)[0]
-
-
-def chi_tilde_counts(spectrum, interval, j_max: int) -> list:
-    """Per-lag counts of n*(lambda_{i+j} - lambda_i) in the window, j = 1..j_max."""
-    v = _values(spectrum)
-    if not 1 <= j_max <= v.size - 1:
-        raise ValueError("need 1 <= j_max <= n-1")
-    return _lag_counts(v, interval, j_max)
+    """Number of nearest-neighbor gaps with n*(gap) in the open interval, in one spectrum."""
+    return int(chi_tilde_counts(spectrum, interval, 1)[0])
 
 
 def chi_tilde_total(spectrum, interval) -> int:
-    """Window count summed over all lags."""
-    v = _values(spectrum)
-    return sum(_lag_counts(v, interval, v.size - 1))
+    """Window count of one spectrum summed over all lags."""
+    return int(chi_tilde_counts(spectrum, interval, len(spectrum) - 1).sum())
 
 
 # ---------------------------------------------------------------------------
 # normalized smallest gaps and their limit law
 
 
-def tau_sequence(spectrum, k_max: int) -> np.ndarray:
-    """tau_k = 2^{-3/2} * n * (k-th smallest nearest-neighbor gap), k = 1..k_max."""
-    v = _values(spectrum)
-    n = v.size
+def tau_sequence(spectra, k_max: int) -> np.ndarray:
+    """tau_k = 2^{-3/2} * n * (k-th smallest nearest-neighbor gap), k = 1..k_max, along
+    the last axis of a sorted spectrum or a block of them: shape (..., k_max)."""
+    v = np.asarray(spectra, dtype=np.float64)
+    n = v.shape[-1]
     if not 1 <= k_max <= n - 1:
         raise ValueError("need 1 <= k_max <= n-1")
-    gaps = np.sort(np.diff(v))
-    return TAU_NORMALIZATION * n * gaps[:k_max]
+    gaps = np.sort(np.diff(v, axis=-1), axis=-1)
+    return TAU_NORMALIZATION * n * gaps[..., :k_max]
 
 
 def kth_gap_tau(spectrum, k: int) -> float:
+    """tau_k of one spectrum."""
     return float(tau_sequence(spectrum, k)[k - 1])
 
 
@@ -145,28 +136,17 @@ def poisson_intensity(interval) -> float:
 # goodness of fit
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted sample values."""
-
-    values: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalDistribution":
-        v = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-        if v.size < 1:
-            raise ValueError("need at least one sample")
-        return cls(v)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
+def _sorted_samples(samples) -> np.ndarray:
+    v = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    if v.size < 1:
+        raise ValueError("need at least one sample")
+    return v
 
 
-def ks_test(samples: EmpiricalDistribution, cdf) -> tuple:
+def ks_test(samples, cdf) -> tuple:
     """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
     ``cdf`` maps an array of sample values to the array of their CDF values."""
-    v = samples.values
+    v = _sorted_samples(samples)
     n = v.size
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples")
@@ -180,11 +160,11 @@ def ks_test(samples: EmpiricalDistribution, cdf) -> tuple:
     return d, float(kolmogorov(math.sqrt(n) * d))
 
 
-def ks_two_sample(a: EmpiricalDistribution, b: EmpiricalDistribution) -> tuple:
+def ks_two_sample(a, b) -> tuple:
     """Two-sample Kolmogorov-Smirnov with the asymptotic p-value."""
     from scipy.special import kolmogorov
 
-    va, vb = a.values, b.values
+    va, vb = _sorted_samples(a), _sorted_samples(b)
     pooled = np.concatenate([va, vb])
     pooled.sort(kind="mergesort")
     fa = np.searchsorted(va, pooled, side="right") / va.size

@@ -365,7 +365,7 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch, config):
     def no_trials(*args):
         raise AssertionError("trials ran for a bad config")
 
-    monkeypatch.setattr(experiments, "_parallel_rows", no_trials)
+    monkeypatch.setattr(experiments, "_columns", no_trials)
     kind = "smallest-gap-law"
     if isinstance(config, dict):
         kind = config.get("kind", kind)
@@ -415,7 +415,7 @@ def test_internal_value_error_is_not_usage_error(tmp_path, monkeypatch):
     def failing_trials(*args):
         raise ValueError("raised inside the numerics")
 
-    monkeypatch.setattr(experiments, "_parallel_rows", failing_trials)
+    monkeypatch.setattr(experiments, "_columns", failing_trials)
     code, _ = run_tiny(tmp_path, "smallest-gap-law")
     assert code == 3
 

@@ -1,13 +1,17 @@
 """Experiment kinds not exercised by the acceptance module, plus serialization."""
 
+import hashlib
 import importlib
+import json
 import pkgutil
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rmtgaps
-from rmtgaps import ensemble, experiments, gapstats
+from rmtgaps import cli, ensemble, experiments, gapstats
 from rmtgaps.experiments import DEFAULT_THRESHOLDS, ExperimentConfig, run_experiment
 
 
@@ -109,7 +113,7 @@ def test_gap_summary_csv_roundtrip(tmp_path):
     for t in (0, 117, 199):
         v = ensemble.sample(ensemble.EnsembleSpec(50), stream, t).values
         cells = [t, gapstats.chi_count(v, window), gapstats.chi_tilde_total(v, window)]
-        cells += gapstats.chi_tilde_counts(v, window, 2)
+        cells += gapstats.chi_tilde_counts(v, window, 2).tolist()
         assert lines[1 + t] == ",".join(str(c) for c in cells)
 
 
@@ -174,7 +178,7 @@ def test_gap_law_kinds_draw_their_spectra_once(tmp_path, memo, monkeypatch, work
     memo.cache_clear()
     first, *rest = kinds
     assert run(first) == cold[first]
-    monkeypatch.setattr(ensemble, "sample", _no_draws)
+    monkeypatch.setattr(ensemble, "sample_block", _no_draws)
     for kind in rest:
         assert run(kind) == cold[kind], kind
     assert memo.cache_info()[:3] == (2, 1, 1)
@@ -201,14 +205,23 @@ def test_longer_run_redraws_and_a_shorter_one_reads_its_prefix(memo, monkeypatch
     cold = run_experiment(_gap_config(), write_files=False).results
     run_experiment(_gap_config(trials=30), write_files=False)
     assert memo.cache_info()[:3] == (0, 2, 1)
-    monkeypatch.setattr(ensemble, "sample", _no_draws)
+    monkeypatch.setattr(ensemble, "sample_block", _no_draws)
     assert run_experiment(_gap_config(), write_files=False).results == cold
     assert memo.cache_info().hits == 1
 
 
+def _same_columns(a: dict, b: dict) -> bool:
+    """The same parts and columns, each of the same dtype and values."""
+    return list(a) == list(b) and all(
+        list(a[p]) == list(b[p])
+        and all(a[p][c].dtype == b[p][c].dtype and np.array_equal(a[p][c], b[p][c]) for c in a[p])
+        for p in a
+    )
+
+
 def test_memo_keeps_within_its_byte_bound(memo, monkeypatch):
     over = _gap_config(base_seed=4, trials=30)
-    stored = experiments._parallel_rows(over)  # gathered in one block
+    stored = experiments._columns(over)  # gathered in one block
     memo.cache_clear()
     block = 12 * 20 * 8  # bytes of one run's 12 spectra at n = 20
     monkeypatch.setattr(memo, "max_bytes", 2 * block)
@@ -218,18 +231,18 @@ def test_memo_keeps_within_its_byte_bound(memo, monkeypatch):
     assert memo.cache_info()[2:4] == (2, 2 * block)
     run_experiment(_gap_config(base_seed=1), write_files=False)  # the oldest, evicted
     assert memo.cache_info()[:2] == (0, 4)
-    # 30 spectra exceed the bound: observed chunk by chunk, to the same rows, and not stored
+    # 30 spectra exceed the bound: observed chunk by chunk, to the same columns, and not stored
     for _ in range(2):
-        assert experiments._parallel_rows(over) == stored
+        assert _same_columns(experiments._columns(over), stored)
     assert memo.cache_info()[:4] == (0, 6, 2, 2 * block)
 
 
 def test_rows_do_not_depend_on_the_chunk_size(memo, monkeypatch):
     cfg = _gap_config(trials=30, workers=2)
-    rows = experiments._parallel_rows(cfg)
+    columns = experiments._columns(cfg)
     memo.cache_clear()
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)  # one spectrum per chunk
-    assert experiments._parallel_rows(cfg) == rows
+    assert _same_columns(experiments._columns(cfg), columns)
     assert memo.cache_info()[:2] == (0, 1)  # drawn again, not read back
 
 
@@ -256,3 +269,71 @@ def test_every_package_cache_clears_with_no_arguments():
     for obj in found.values():
         obj.cache_clear()
         obj.cache_info()
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: sha256 over the names and bytes of every --reproducible artifact
+# of one tiny CLI run of each experiment kind and of `sample` on both routes
+
+PINNED_RUNS = {
+    "smallest-gap-law": (
+        ["experiment", "smallest-gap-law", "--n", "50", "--trials", "30", "--k-max", "2"],
+        {"thresholds": {"ks_max": {"1": 0.5, "2": 0.5}, "tau1_mean_tol": 0.5}},
+        "959fcd32ff99e5ab153b50a6d95d9c6394bee3a9b1a592084ff805ff3d045efc",
+    ),
+    "poisson-counts": (
+        ["experiment", "poisson-counts", "--n", "40", "--trials", "200", "--j-max", "2"],
+        None,
+        "d18f6f1dc73c004c071d6bb3642949a33492ba4cc28dd95dcaef8192960a1442",
+    ),
+    "factorial-moments": (
+        ["experiment", "factorial-moments", "--n", "40", "--trials", "30", "--k-max", "2"],
+        None,
+        "0ba81b0e961ce31c728f07da9af9421b4e2e37d53f81e33128f6ab125f735d8d",
+    ),
+    "successive-gaps": (
+        ["experiment", "successive-gaps", "--n", "40", "--trials", "30", "--c0", "3"],
+        None,
+        "3742005b043a4e312b28fb2c903767fbd47a54c8ad23c9822ea21a212729f65f",
+    ),
+    "sampler-crosscheck": (
+        ["experiment", "sampler-crosscheck", "--n", "20", "--trials", "20"],
+        {"gap_law_trials": 200},
+        "7666274c9ef9046274567b52e04019f48dc6b4e836bb65e797695759120b953f",
+    ),
+    "conjecture-beta": (
+        ["experiment", "conjecture-beta", "--n", "40", "--beta", "2", "--trials", "30", "--k-max", "2"],
+        None,
+        "c39b33aa4e531633cef27bc03b1639443a8a21983b781a1c6cce969c57e2786d",
+    ),
+    "sample-tridiagonal": (
+        ["sample", "--n", "12", "--trials", "7", "--beta", "2.5", "--scaling", "nscaled"],
+        None,
+        "eaba1625ebbcc61000eced0a2776a0badd60311e20d224a4365579ca01b2f86a",
+    ),
+    "sample-dense": (
+        ["sample", "--sampler", "dense", "--n", "6", "--trials", "9"],
+        None,
+        "a8d0de6330d683435c66b9f49aa7cfc4b1a5bc0111fb80e731e537535af4f9c5",
+    ),
+}
+
+
+def _artifacts_sha256(out) -> str:
+    h = hashlib.sha256()
+    for f in sorted(p for p in out.rglob("*") if p.is_file()):
+        h.update(f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_reproducible_artifacts_keep_their_bytes(tmp_path, monkeypatch, memo, name, workers):
+    argv, config, digest = PINNED_RUNS[name]
+    monkeypatch.chdir(tmp_path)  # the output directory is echoed, so it is the same relative path
+    argv = [*argv, "--seed", "11", "--workers", str(workers), "--out", "out", "--reproducible"]
+    if config is not None:
+        Path("config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAILURE)
+    assert _artifacts_sha256(Path("out")) == digest

@@ -20,12 +20,12 @@ def test_chi_count_examples():
 
 def test_chi_tilde_examples():
     spec = np.array([0.0, 0.4 / 3, 0.9 / 3])
-    assert gs.chi_tilde_counts(spec, (0.0, 1.0), 1) == [2]
-    assert gs.chi_tilde_counts(spec, (0.0, 1.0), 2) == [2, 1]
+    assert gs.chi_tilde_counts(spec, (0.0, 1.0), 1).tolist() == [2]
+    assert gs.chi_tilde_counts(spec, (0.0, 1.0), 2).tolist() == [2, 1]
     assert gs.chi_tilde_total(spec, (0.0, 1.0)) == 3
     n = 5
     eq = np.arange(n) * 0.6 / n
-    assert gs.chi_tilde_counts(eq, (0.0, 1.0), 2) == [n - 1, 0]
+    assert gs.chi_tilde_counts(eq, (0.0, 1.0), 2).tolist() == [n - 1, 0]
     assert gs.chi_tilde_total(eq, (0.0, 1.0)) == n - 1
 
 
@@ -54,6 +54,24 @@ def test_tau_values_and_monotonicity():
     v = np.sort(rng.uniform(0, 1, 10))
     taus = gs.tau_sequence(v, 9)
     assert np.all(np.diff(taus) >= 0)
+
+
+def test_block_observables_are_those_of_its_rows():
+    # a block of spectra, one per row, maps to the rows' own counts and taus, however
+    # early the block's lag pass stops
+    rng = np.random.default_rng(9)
+    block = np.sort(rng.uniform(0, 1, (40, 12)), axis=1)
+    block[3] = np.arange(12) * 0.9 / 12  # every lag-2 distance reaches the window top
+    for window in ((0.0, 2.0), (0.5, 1.7), (0.0, 30.0)):
+        counts = gs.chi_tilde_counts(block, window, 11)
+        assert counts.shape == (40, 11) and counts.dtype == np.int64
+        for row, v in zip(counts, block):
+            assert np.array_equal(row, gs.chi_tilde_counts(v, window, 11))
+            assert row.sum() == gs.chi_tilde_total(v, window) and row[0] == gs.chi_count(v, window)
+    taus = gs.tau_sequence(block, 4)
+    assert taus.shape == (40, 4)
+    for row, v in zip(taus, block):
+        assert np.array_equal(row, gs.tau_sequence(v, 4)) and row[1] == gs.kth_gap_tau(v, 2)
 
 
 def test_limit_cdf_values():
@@ -119,30 +137,40 @@ def test_ks_self_consistency():
     good = 0
     for _ in range(100):
         u = rng.uniform(0, 1, 10_000)
-        emp = gs.EmpiricalDistribution.from_samples(np.sqrt(-np.log(1 - u)))
-        _, p = gs.ks_test(emp, lambda x: 1 - np.exp(-x * x))
+        _, p = gs.ks_test(np.sqrt(-np.log(1 - u)), lambda x: 1 - np.exp(-x * x))
         good += p > 0.001
     assert good >= 99
 
 
 def test_ks_degenerate_and_shifted():
-    emp = gs.EmpiricalDistribution.from_samples(np.full(64, 0.7))
     f = 1 - math.exp(-0.49)
-    d, _ = gs.ks_test(emp, lambda x: 1 - np.exp(-x * x))
+    d, _ = gs.ks_test(np.full(64, 0.7), lambda x: 1 - np.exp(-x * x))
     assert d == pytest.approx(max(f, 1 - f), rel=1e-12)
-    shifted = gs.EmpiricalDistribution.from_samples(np.linspace(10, 11, 100))
+    shifted = np.linspace(10, 11, 100)
     d, p = gs.ks_test(shifted, lambda x: 1 - np.exp(-x * x))
     assert d > 0.99
     assert p < 1e-10
 
 
+def test_ks_sorts_its_samples_and_refuses_too_few():
+    rng = np.random.default_rng(10)
+    x = rng.uniform(0, 3, 50)
+    cdf = lambda v: 1 - np.exp(-v * v)  # noqa: E731
+    assert gs.ks_test(x, cdf) == gs.ks_test(np.sort(x), cdf)
+    assert gs.ks_two_sample(x, x[::-1] + 0.1) == gs.ks_two_sample(np.sort(x), np.sort(x) + 0.1)
+    with pytest.raises(ValueError, match=f"at least {gs.KS_MIN_SAMPLES} samples"):
+        gs.ks_test(x[: gs.KS_MIN_SAMPLES - 1], cdf)
+    with pytest.raises(ValueError, match="at least one sample"):
+        gs.ks_two_sample(x, [])
+
+
 def test_ks_two_sample_same_distribution():
     rng = np.random.default_rng(6)
-    a = gs.EmpiricalDistribution.from_samples(rng.standard_normal(5000))
-    b = gs.EmpiricalDistribution.from_samples(rng.standard_normal(5000))
+    a = rng.standard_normal(5000)
+    b = rng.standard_normal(5000)
     _, p = gs.ks_two_sample(a, b)
     assert p > 0.001
-    c = gs.EmpiricalDistribution.from_samples(rng.standard_normal(5000) + 1.0)
+    c = rng.standard_normal(5000) + 1.0
     _, p2 = gs.ks_two_sample(a, c)
     assert p2 < 1e-10
 
