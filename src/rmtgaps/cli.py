@@ -11,6 +11,10 @@ run can be reproduced from its own artifacts.  Exit codes: 0 success,
 An ``OSError`` is a usage error only where ``--config`` is read or the
 output directory is made; elsewhere it is an internal error.
 
+``verify`` and ``experiment`` both write through ``reports.RunReport.write``.
+A results key ending in ``passed`` is a gate (a verify report lists each
+check row as one); a run passes, and exits 0, when all its gates do.
+
 ``verify`` runs on numpy alone and never loads scipy.  The Monte Carlo
 commands load ``scipy.linalg`` with their first tridiagonal draw and
 ``scipy.special`` with their first fit (KS test, gap-law CDF or chi-square),
@@ -132,29 +136,18 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     result = verify.run_suite(args.suite, options)
     wall = None if args.reproducible else time.perf_counter() - t0
+    config = {"command": "verify", "suite": args.suite, "base_seed": args.seed, **options}
+    checks = [dict(zip(verify.CHECK_HEADER, row)) for row in result.rows]
+    results = {"checks": checks, "max_error": max((r[1] for r in result.rows), default=0.0)}
+    report = reports.RunReport("verify", args.suite, config, results, wall)
 
     for check, value, threshold, ok in result.rows:
         print(f"[{'PASS' if ok else 'FAIL'}] {check}: value={value!r} threshold={threshold!r}")
-    print(f"suite {args.suite}: {'PASS' if result.passed else 'FAIL'}")
-
+    print(f"suite {args.suite}: {'PASS' if report.passed else 'FAIL'}")
     if args.out:
-        out = Path(args.out)
-        config = {"command": "verify", "suite": args.suite, "base_seed": args.seed, **options}
-        csv = out / f"verify_{args.suite}.csv"
-        reports.write_csv(csv, config, __version__, result.header, result.table, args.reproducible)
-        payload = experiments.RunReport(
-            command="verify",
-            kind=args.suite,
-            config=config,
-            results={
-                "checks": [dict(zip(verify.CHECK_HEADER, row)) for row in result.rows],
-                "max_error": result.max_error(),
-            },
-            passed=result.passed,
-            wall_clock_seconds=wall,
-        )
-        reports.write_json(out / f"verify_{args.suite}.json", payload.to_dict())
-    return EXIT_OK if result.passed else EXIT_FAILURE
+        stem = f"verify_{args.suite}"
+        report.write(args.out, stem, result.header, result.table, reproducible=args.reproducible)
+    return EXIT_OK if report.passed else EXIT_FAILURE
 
 
 def _cmd_experiment(args) -> int:

@@ -32,6 +32,9 @@ each, since each run that draws starts its own pool.
 
 Statistical pass/fail thresholds live in the config (defaults below, taken
 from the acceptance targets); the experiment code never hard-codes one.
+An aggregator returns results and histograms only: a results key ending in
+``passed`` is a gate, a run passes when all its gates do, and
+``reports.RunReport`` derives that verdict and writes every artifact.
 """
 
 from __future__ import annotations
@@ -130,11 +133,14 @@ class ExperimentConfig:
         # built first so a spec the ensemble rejects fails before any trial runs
         self.specs = {part: _PARTS[part][0](self) for part in self.parts()}
         lo, hi = self.interval
-        if not 0 <= lo < hi:
-            raise ValueError("interval must satisfy 0 <= lo < hi")
+        # hi^2 must not overflow, so that the window's Poisson intensity (hi^2 - lo^2)/8 is finite
+        if not 0 <= lo < hi <= math.sqrt(np.finfo(float).max):
+            raise ValueError("interval must satisfy 0 <= lo < hi, with hi^2 finite")
         self.interval = (float(lo), float(hi))
         if not self.c0 > 0:
             raise ValueError("c0 must be positive")
+        if not math.isfinite(_lag2_bound(self.c0, self.n)):
+            raise ValueError("c0 must give a finite successive-gaps bound c0^4/(8n)")
         # the largest order each kind reads and its bound; a gap order indexes the n - 1 gaps
         orders = {
             "smallest-gap-law": ("k_max", self.k_max, self.n - 1),
@@ -190,23 +196,6 @@ class ExperimentConfig:
         d["interval"] = list(self.interval)
         del d["workers"]
         return d
-
-
-@dataclass
-class RunReport:
-    """Aggregated results of one run plus the verbatim config echo."""
-
-    command: str
-    kind: str
-    config: dict
-    results: dict
-    passed: bool
-    wall_clock_seconds: object
-    version: str = __version__
-    schema_version: int = reports.SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +398,10 @@ def _fit_gap_law(samples, k: int, beta: float, title: str, xlabel: str) -> tuple
 def _agg_smallest_gap_law(cfg, columns):
     thr = cfg.thresholds
     results = {"trials": cfg.trials}
-    passed = True
     svgs = {}
     for k in range(1, cfg.k_max + 1):
         taus = columns[cfg.kind][f"tau_{k}"]
-        d, p, svgs[f"tau_{k}.svg"] = _fit_gap_law(
+        d, p, svgs[f"tau_{k}"] = _fit_gap_law(
             taus, k, 1.0, f"normalized gap tau_{k}, n={cfg.n}, {cfg.trials} trials", f"tau_{k}"
         )
         ks_max = thr["ks_max"].get(str(k))
@@ -425,16 +413,14 @@ def _agg_smallest_gap_law(cfg, columns):
         if ks_max is not None:
             entry["ks_max"] = ks_max
             entry["ks_passed"] = bool(d < ks_max)
-            passed &= entry["ks_passed"]
         if k == 1:
             expect = math.sqrt(math.pi) / 2.0
             tol = thr["tau1_mean_tol"]
             entry["mean_expected"] = expect
             entry["mean_tol"] = tol
             entry["mean_passed"] = bool(abs(entry["mean"] - expect) < tol)
-            passed &= entry["mean_passed"]
         results[f"tau_{k}"] = entry
-    return results, passed, svgs
+    return results, svgs
 
 
 def _agg_poisson_counts(cfg, columns):
@@ -444,24 +430,21 @@ def _agg_poisson_counts(cfg, columns):
     mean, se = _mean_se(chi.astype(np.float64))
     fm2, fm2_se = _mean_se(gapstats.falling_factorial(chi_tilde, 2))
     gof_p = gapstats.poisson_gof(chi, mu)
-    mean_ok = abs(mean - mu) <= thr["mean_sigmas"] * se
-    fm2_ok = abs(fm2 - mu * mu) <= thr["fm2_sigmas"] * fm2_se
-    gof_ok = gof_p > thr["gof_p_min"]
     results = {
         "trials": cfg.trials,
         "intensity": mu,
         "chi_mean": mean,
         "chi_mean_se": se,
-        "chi_mean_passed": bool(mean_ok),
+        "chi_mean_passed": bool(abs(mean - mu) <= thr["mean_sigmas"] * se),
         "fm2": fm2,
         "fm2_expected": mu * mu,
         "fm2_se": fm2_se,
-        "fm2_passed": bool(fm2_ok),
+        "fm2_passed": bool(abs(fm2 - mu * mu) <= thr["fm2_sigmas"] * fm2_se),
         "gof_p": gof_p,
-        "gof_passed": bool(gof_ok),
+        "gof_passed": bool(gof_p > thr["gof_p_min"]),
     }
-    svgs = {"counts.svg": _count_histogram(chi, f"window counts, n={cfg.n}, A={list(cfg.interval)}")}
-    return results, bool(mean_ok and fm2_ok and gof_ok), svgs
+    svgs = {"counts": _count_histogram(chi, f"window counts, n={cfg.n}, A={list(cfg.interval)}")}
+    return results, svgs
 
 
 def _agg_factorial_moments(cfg, columns):
@@ -469,20 +452,21 @@ def _agg_factorial_moments(cfg, columns):
     chi_tilde = columns[cfg.kind]["chi_tilde"].astype(np.float64)
     base = gapstats.poisson_intensity(cfg.interval)
     results = {"trials": cfg.trials}
-    passed = True
     for k in range(1, cfg.k_max + 1):
         est, se = _mean_se(gapstats.falling_factorial(chi_tilde, k))
         expect = base**k
         ok = abs(est - expect) <= thr["sigmas"] * se if se > 0 else est == expect
-        results[f"moment_{k}"] = {
-            "estimate": est,
-            "expected": expect,
-            "se": se,
-            "passed": bool(ok),
-        }
-        passed &= ok
-    svgs = {"chi_tilde.svg": _count_histogram(chi_tilde, f"all-lag window counts, n={cfg.n}")}
-    return results, bool(passed), svgs
+        results[f"moment_{k}"] = {"estimate": est, "expected": expect, "se": se, "passed": bool(ok)}
+    svgs = {"chi_tilde": _count_histogram(chi_tilde, f"all-lag window counts, n={cfg.n}")}
+    return results, svgs
+
+
+def _lag2_bound(c0, n: int) -> float:
+    """The successive-gaps bound c0^4/(8n); inf where c0^4 overflows."""
+    try:
+        return c0**4 / (8.0 * n)
+    except OverflowError:
+        return math.inf
 
 
 def _agg_successive_gaps(cfg, columns):
@@ -491,7 +475,7 @@ def _agg_successive_gaps(cfg, columns):
     hits = (counts > 0).astype(np.float64)
     p_hat = float(np.mean(hits))
     se = math.sqrt(p_hat * (1.0 - p_hat) / hits.size)
-    bound = cfg.c0**4 / (8.0 * cfg.n)
+    bound = _lag2_bound(cfg.c0, cfg.n)
     ok = p_hat <= bound + thr["sigmas"] * se if se > 0 else p_hat <= bound
     results = {
         "trials": cfg.trials,
@@ -501,8 +485,8 @@ def _agg_successive_gaps(cfg, columns):
         "bound": bound,
         "passed": bool(ok),
     }
-    svgs = {"lag2_counts.svg": _count_histogram(counts, f"lag-2 window counts, n={cfg.n}, c0={cfg.c0}")}
-    return results, bool(ok), svgs
+    svgs = {"lag2_counts": _count_histogram(counts, f"lag-2 window counts, n={cfg.n}, c0={cfg.c0}")}
+    return results, svgs
 
 
 def _agg_sampler_crosscheck(cfg, columns):
@@ -510,20 +494,18 @@ def _agg_sampler_crosscheck(cfg, columns):
     dense, tridiag, gaps2 = (columns[part]["value"] for part in cfg.parts())
     d2, p2 = gapstats.ks_two_sample(dense, tridiag)
     dg, pg = gapstats.ks_test(gaps2, gapstats.two_by_two_gap_cdf)
-    two_ok = p2 > thr["two_sample_p_min"]
-    gap_ok = dg < thr["gap_law_ks_max"]
     results = {
         "tau1_trials_each": int(dense.size),
         "two_sample_ks": d2,
         "two_sample_p": p2,
-        "two_sample_passed": bool(two_ok),
+        "two_sample_passed": bool(p2 > thr["two_sample_p_min"]),
         "gap_law_trials": int(gaps2.size),
         "gap_law_ks": dg,
         "gap_law_p": pg,
-        "gap_law_passed": bool(gap_ok),
+        "gap_law_passed": bool(dg < thr["gap_law_ks_max"]),
     }
     svgs = {
-        "gap_law_n2.svg": svgplot.histogram_svg(
+        "gap_law_n2": svgplot.histogram_svg(
             gaps2,
             _HIST_BINS,
             title=f"2x2 eigenvalue gap, {gaps2.size} trials",
@@ -531,7 +513,7 @@ def _agg_sampler_crosscheck(cfg, columns):
             density_fn=gapstats.two_by_two_gap_pdf,
         )
     }
-    return results, bool(two_ok and gap_ok), svgs
+    return results, svgs
 
 
 def _agg_conjecture_beta(cfg, columns):
@@ -547,11 +529,11 @@ def _agg_conjecture_beta(cfg, columns):
     results["scale_estimate"] = c_hat
     for k in range(1, cfg.k_max + 1):
         tk = gaps[f"t_{k}"] * cfg.n**expo * c_hat
-        d, p, svgs[f"scaled_gap_{k}.svg"] = _fit_gap_law(
+        d, p, svgs[f"scaled_gap_{k}"] = _fit_gap_law(
             tk, k, beta, f"scaled gap {k}, beta={beta}, n={cfg.n}", "scaled gap"
         )
         results[f"shape_ks_{k}"] = {"ks_distance": d, "ks_p": p}
-    return results, True, svgs
+    return results, svgs
 
 
 _AGGREGATORS = {
@@ -564,42 +546,24 @@ _AGGREGATORS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> reports.RunReport:
     """Run all trials, aggregate, optionally write CSV/JSON/SVG artifacts."""
     t0 = time.perf_counter()
     columns = _columns(cfg)
-
-    results, passed, svgs = _AGGREGATORS[cfg.kind](cfg, columns)
+    results, svgs = _AGGREGATORS[cfg.kind](cfg, columns)
     wall = None if cfg.reproducible else time.perf_counter() - t0
-    report = RunReport(
-        command="experiment",
-        kind=cfg.kind,
-        config=cfg.echo_dict(),
-        results=results,
-        passed=bool(passed),
-        wall_clock_seconds=wall,
-    )
+    report = reports.RunReport("experiment", cfg.kind, cfg.echo_dict(), results, wall)
     if write_files:
-        out = Path(cfg.out_dir)
-        _write_rows(out / f"{cfg.kind}.csv", cfg, columns)
-        reports.write_json(out / f"{cfg.kind}.json", report.to_dict())
-        for name, svg in svgs.items():
-            path = out / f"{cfg.kind}_{name}"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(svg)
+        # one CSV row per trial of every part; a part other than the kind is named
+        first = next(iter(columns))
+        header = ["part"] * (first != cfg.kind) + ["trial", *columns[first]]
+        rows = (
+            [*[part] * (part != cfg.kind), *cells]
+            for part, c in columns.items()
+            for cells in zip(count(), *c.values())
+        )
+        report.write(cfg.out_dir, cfg.kind, header, rows, svgs, cfg.reproducible)
     return report
-
-
-def _write_rows(path: Path, cfg: ExperimentConfig, columns: dict) -> None:
-    """Write every part's columns as CSV rows; a part other than the kind is named."""
-    first = next(iter(columns))
-    header = ["part"] * (first != cfg.kind) + ["trial", *columns[first]]
-    rows = (
-        [*[part] * (part != cfg.kind), *cells]
-        for part, c in columns.items()
-        for cells in zip(count(), *c.values())
-    )
-    reports.write_csv(path, cfg.echo_dict(), __version__, header, rows, cfg.reproducible)
 
 
 def write_spectra_csv(cfg: ExperimentConfig) -> Path:

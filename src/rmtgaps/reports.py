@@ -1,6 +1,11 @@
-"""Deterministic CSV and JSON artifact writers.
+"""Run reports and their deterministic CSV, JSON and SVG artifacts.
 
-Every file starts with a metadata block ('#'-prefixed lines) echoing the
+Every ``verify`` and ``experiment`` run ends in one :class:`RunReport`, whose
+``write`` is the one writer of its artifacts.  A results key ending in
+``passed`` is a gate, in nested dicts and lists alike; a run passes when all
+its gates do, so its JSON verdict cannot disagree with the gates it lists.
+
+Every CSV starts with a metadata block ('#'-prefixed lines) echoing the
 full configuration and base seed, so any output can be reproduced from its
 own header.  Floats are rendered with repr (shortest round-trip), which
 keeps byte-identical output across runs and worker counts.
@@ -9,10 +14,48 @@ keeps byte-identical output across runs and worker counts.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
+
 SCHEMA_VERSION = 1
+
+
+@dataclass
+class RunReport:
+    """Results of one run, the verbatim config echo and the verdict of its gates."""
+
+    command: str
+    kind: str
+    config: dict
+    results: dict
+    wall_clock_seconds: object
+    passed: bool = field(init=False)
+    version: str = __version__
+    schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        self.passed = all(_gates(self.results))
+
+    def write(self, out, stem: str, header, rows, svgs=None, reproducible: bool = False) -> None:
+        """Write <stem>.csv (``rows`` under ``header``), <stem>.json and each <stem>_<name>.svg."""
+        out = Path(out)
+        write_csv(out / f"{stem}.csv", self.config, self.version, header, rows, reproducible)
+        write_json(out / f"{stem}.json", asdict(self))
+        for name, svg in (svgs or {}).items():
+            (out / f"{stem}_{name}.svg").write_text(svg)
+
+
+def _gates(node):
+    """The value of every key ending in ``passed`` in nested dicts and lists."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from [bool(value)] if key.endswith("passed") else _gates(value)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _gates(item)
 
 
 def format_cell(value) -> str:

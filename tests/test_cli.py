@@ -213,6 +213,33 @@ def test_experiment_failure_exit_code(tmp_path):
     assert code == 1
 
 
+def _gates(node, path=""):
+    """(path, value) of every results key ending in "passed", in nested dicts and lists."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key.endswith("passed"):
+                yield f"{path}{key}", value
+            else:
+                yield from _gates(value, f"{path}{key}.")
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _gates(item, f"{path}{i}.")
+
+
+def test_one_failed_gate_fails_the_run(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # only tau_2's KS gate is out of reach
+    cfg.write_text(json.dumps({"thresholds": {"ks_max": {"1": 0.9, "2": 1e-9}, "tau1_mean_tol": 0.9}}))
+    out = tmp_path / "r"
+    args = ["experiment", "smallest-gap-law", "--n", "50", "--trials", "30", "--k-max", "2"]
+    assert run(args + ["--config", str(cfg), "--out", str(out), "--reproducible"]) == 1
+    report = json.loads((out / "smallest-gap-law.json").read_text())
+    assert report["passed"] is False
+    gates = dict(_gates(report["results"]))
+    assert [path for path, ok in gates.items() if not ok] == ["tau_2.ks_passed"]
+    assert len(gates) == 3
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     config = {"n": 200, "trials": 10, "base_seed": 1, "reproducible": True, "thresholds": LOOSE}
@@ -359,6 +386,13 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
         # NaN fails every comparison, so it would read as a silent FAIL
         {"thresholds": {"tau1_mean_tol": float("nan")}},
         {"thresholds": {"ks_max": {"1": float("nan")}}},
+        # an infinite window, or one whose intensity or bound overflows, has no finite law
+        {"kind": "poisson-counts", "trials": 200, "interval": [0, float("inf")]},
+        {"kind": "poisson-counts", "trials": 200, "interval": [0, 1e200]},
+        {"kind": "poisson-counts", "trials": 200, "interval": [0, 10**400]},  # no float holds it
+        {"kind": "factorial-moments", "interval": [0, float("inf")]},
+        {"kind": "successive-gaps", "c0": float("inf")},
+        {"kind": "successive-gaps", "c0": 1e300},
     ],
 )
 def test_bad_config_is_usage_error(tmp_path, monkeypatch, config):
@@ -402,6 +436,22 @@ def test_non_finite_beta_is_usage_error(tmp_path, beta):
     out = tmp_path / "o"
     args = ["experiment", "conjecture-beta", "--beta", beta, "--n", "10", "--trials", "20"]
     assert run(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["poisson-counts", "--trials", "200", "--interval", "0,inf"],
+        ["poisson-counts", "--trials", "200", "--interval", "0,1e200"],  # hi*hi overflows
+        ["factorial-moments", "--trials", "30", "--interval", "0,inf"],
+        ["successive-gaps", "--trials", "30", "--c0", "inf"],
+        ["successive-gaps", "--trials", "30", "--c0", "1e300"],  # c0**4 overflows
+    ],
+)
+def test_non_finite_window_is_usage_error(tmp_path, args):
+    out = tmp_path / "o"
+    assert run(["experiment", *args, "--n", "20", "--out", str(out)]) == 2
     assert not out.exists()
 
 

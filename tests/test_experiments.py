@@ -1,9 +1,11 @@
 """Experiment kinds not exercised by the acceptance module, plus serialization."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
 import pkgutil
+import shutil
 import sys
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import rmtgaps
-from rmtgaps import cli, ensemble, experiments, gapstats
+from rmtgaps import cli, ensemble, experiments, gapstats, reports, verify
 from rmtgaps.experiments import DEFAULT_THRESHOLDS, ExperimentConfig, run_experiment
 
 
@@ -254,9 +256,10 @@ def test_stored_spectra_are_read_only(memo):
         block[0, 0] = 0.0
 
 
-def test_every_package_cache_clears_with_no_arguments():
-    # the benchmark clears, before each iteration, every object in an rmtgaps
-    # module namespace that has cache_clear and cache_info, classes included
+def _package_caches() -> dict:
+    """id -> object, for every object in an rmtgaps module namespace that has
+    cache_clear and cache_info, classes included: what the benchmark clears
+    before each iteration."""
     for info in pkgutil.iter_modules(rmtgaps.__path__):
         importlib.import_module(f"rmtgaps.{info.name}")
     found = {}
@@ -265,6 +268,11 @@ def test_every_package_cache_clears_with_no_arguments():
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
                     found[id(obj)] = obj
+    return found
+
+
+def test_every_package_cache_clears_with_no_arguments():
+    found = _package_caches()
     assert id(experiments.spectra_memo) in found
     for obj in found.values():
         obj.cache_clear()
@@ -337,3 +345,59 @@ def test_reproducible_artifacts_keep_their_bytes(tmp_path, monkeypatch, memo, na
         argv += ["--config", "config.json"]
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAILURE)
     assert _artifacts_sha256(Path("out")) == digest
+
+
+# one `verify` run per suite at the benchmark's options: --seed 1, lemma9 at --n-max 40
+PINNED_SUITES = {
+    "pfaffian": ([], "9f14da130e01d821a40cbff0178368c7e056d097fd5571874d719610d07322c0"),
+    "hermite": ([], "96db2e5d2de8cae7a573d3a22dccee9e3b1becd8bef9995f4b2fd9f77f19eb30"),
+    "lemma9": (["--n-max", "40"], "cc083d11d7f1d3e66f76d0845f1560b5cf162f1630b01ee9a8731a422efd696d"),
+    "lemma10": ([], "7c28efdda7216cfe80182b63c701970b20eff7d32eacad7577a40a4cc2e8aa50"),
+    "lemma12": ([], "18d3f3e31e30a7ef9ebabf348745b43715126f3ceb60127f96f7634e6f85fc12"),
+    "dpoly": ([], "793bc3072ad0903949146772ebc26a8bd14a8521120a91088f7f893e1869c195"),
+    "coefficients": ([], "a2d1758da623d2da1f62e58dcb32802d44a1c1baaeda666156c29b4c47c658b4"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_SUITES))
+def test_verify_artifacts_keep_their_bytes_warm_and_cold(tmp_path, monkeypatch, suite):
+    # the benchmark repeats each suite in one process, with every package cache cleared between
+    flags, digest = PINNED_SUITES[suite]
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", suite, *flags, "--seed", "1", "--out", "out", "--reproducible"]
+    for cleared in (False, True):
+        if cleared:
+            for cache in _package_caches().values():
+                cache.cache_clear()
+        shutil.rmtree("out", ignore_errors=True)
+        assert cli.main(argv) == cli.EXIT_OK, f"caches cleared: {cleared}"
+        assert _artifacts_sha256(Path("out")) == digest, f"caches cleared: {cleared}"
+
+
+def test_every_kind_and_suite_has_pinned_bytes():
+    assert set(experiments.KINDS) <= set(PINNED_RUNS)
+    assert set(PINNED_SUITES) == set(verify.SUITES)
+
+
+# ---------------------------------------------------------------------------
+# the verdict: a results key ending in "passed" is a gate, and a run passes when all do
+
+
+@pytest.mark.parametrize(
+    "results,passed",
+    [
+        # factorial-moments: a failing gate nested in a dict
+        ({"trials": 30, "moment_1": {"passed": True}, "moment_2": {"passed": False}}, False),
+        # verify: a failing gate in a list of check rows
+        ({"checks": [{"check": "a", "passed": True}, {"check": "b", "passed": False}]}, False),
+        ({"tau_1": {"ks_passed": True, "mean_passed": True}, "gof_passed": True}, True),
+        # conjecture-beta: no gate at all
+        ({"trials": 30, "exploratory": True, "shape_ks_1": {"ks_distance": 0.2}}, True),
+    ],
+)
+def test_report_verdict_is_the_and_of_its_gates(results, passed):
+    report = reports.RunReport("experiment", "k", {}, results, None)
+    assert report.passed is passed
+    assert dataclasses.asdict(report)["passed"] is passed
+    with pytest.raises(TypeError):
+        reports.RunReport("experiment", "k", {}, results, None, passed=not passed)
