@@ -19,6 +19,11 @@ check row as one); a run passes, and exits 0, when all its gates do.
 commands load ``scipy.linalg`` with their first tridiagonal draw and
 ``scipy.special`` with their first fit (KS test, gap-law CDF or chi-square),
 and never ``scipy.stats``; so no command pays for these imports at start-up.
+
+Every command runs numpy's OpenBLAS on one thread per process, pool workers
+included, unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set: the user's count wins (see the ``rmtgaps``
+package).  The artifacts are the same bytes at any thread count.
 """
 
 from __future__ import annotations
@@ -137,9 +142,7 @@ def _cmd_verify(args) -> int:
     result = verify.run_suite(args.suite, options)
     wall = None if args.reproducible else time.perf_counter() - t0
     config = {"command": "verify", "suite": args.suite, "base_seed": args.seed, **options}
-    checks = [dict(zip(verify.CHECK_HEADER, row)) for row in result.rows]
-    results = {"checks": checks, "max_error": max((r[1] for r in result.rows), default=0.0)}
-    report = reports.RunReport("verify", args.suite, config, results, wall)
+    report = result.report(args.suite, config, wall)
 
     for check, value, threshold, ok in result.rows:
         print(f"[{'PASS' if ok else 'FAIL'}] {check}: value={value!r} threshold={threshold!r}")

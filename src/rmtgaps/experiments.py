@@ -85,8 +85,12 @@ _MIN_TRIALS = {
 
 
 def _is_number(value) -> bool:
-    # NaN (the one value unequal to itself) would make every comparison a silent FAIL
-    return isinstance(value, Real) and not isinstance(value, bool) and value == value
+    # NaN would make every comparison a silent FAIL, and an integer that no float
+    # holds would raise OverflowError wherever a run first reads it as a float
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and not math.isnan(value)
+    except OverflowError:
+        return False
 
 
 # checks by the annotation of each ExperimentConfig field

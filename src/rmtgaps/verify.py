@@ -2,8 +2,9 @@
 
 Each suite re-checks one block of the exact machinery against independent
 oracles (closed forms, brute-force enumeration, direct quadrature) and
-returns per-check rows for the CSV report plus an overall verdict.  Random
-sweeps are seeded, so a suite is a pure function of its options.
+returns per-check rows for the CSV report; its verdict is the one that
+``reports.RunReport`` derives from the rows.  Random sweeps are seeded, so a
+suite is a pure function of its options.
 
 A suite is declared once, as a function ``_suite_<name>`` marked ``@_suite``:
 the first line of its docstring is its help, and its keyword parameters are
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermite, loggas, skewlin
+from . import hermite, loggas, reports, skewlin
 
 CHECK_HEADER = ("check", "value", "threshold", "passed")
 
@@ -37,9 +38,11 @@ class SuiteResult:
         if self.table is None:
             self.table = self.rows
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for *_, ok in self.rows)
+    def report(self, suite: str, config: dict, wall_clock_seconds) -> reports.RunReport:
+        """The run's report: each check row is one gate of its verdict."""
+        checks = [dict(zip(CHECK_HEADER, row)) for row in self.rows]
+        results = {"checks": checks, "max_error": max((r[1] for r in self.rows), default=0.0)}
+        return reports.RunReport("verify", suite, config, results, wall_clock_seconds)
 
 
 @dataclass(frozen=True)

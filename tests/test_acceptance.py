@@ -126,26 +126,32 @@ def _suite_detail(rows) -> str:
     return ", ".join(f"{check} {value:.1e}{'' if ok else ' FAILED'}" for check, value, _, ok in rows)
 
 
+def _run_suite(suite: str, options=None):
+    """A suite's check rows and the verdict its run report derives from them."""
+    result = verify.run_suite(suite, options)
+    return result.rows, result.report(suite, options or {}, None).passed
+
+
 def test_criterion_4_pfaffian_property_suite():
     t0 = time.perf_counter()
-    result = verify.run_suite("pfaffian", {"seed": 1})
+    rows, passed = _run_suite("pfaffian", {"seed": 1})
     elapsed = time.perf_counter() - t0
-    criterion(4, result.passed and elapsed < 10.0, f"{_suite_detail(result.rows)} in {elapsed:.2f}s")
+    criterion(4, passed and elapsed < 10.0, f"{_suite_detail(rows)} in {elapsed:.2f}s")
 
 
 def test_criterion_5_hermite_suite():
-    results = [verify.run_suite("hermite"), verify.run_suite("dpoly")]
-    criterion(5, all(r.passed for r in results), "; ".join(_suite_detail(r.rows) for r in results))
+    runs = [_run_suite("hermite"), _run_suite("dpoly")]
+    criterion(5, all(passed for _, passed in runs), "; ".join(_suite_detail(rows) for rows, _ in runs))
 
 
 def test_criterion_6_energy_and_sandwiches():
-    lemma10 = verify.run_suite("lemma10", {"seed": 2, "cases": 1000})
-    energy = [r for r in lemma10.rows if r[0].startswith("derivative_energy_")]
-    lemma12 = verify.run_suite("lemma12")
-    sandwiches = [r for r in lemma12.rows if r[0].startswith("gap_sandwich_")]
+    lemma10, lemma10_passed = _run_suite("lemma10", {"seed": 2, "cases": 1000})
+    energy = [r for r in lemma10 if r[0].startswith("derivative_energy_")]
+    lemma12, _ = _run_suite("lemma12")
+    sandwiches = [r for r in lemma12 if r[0].startswith("gap_sandwich_")]
     sandwich_ok = len(sandwiches) == 4 and all(ok for *_, ok in sandwiches)
     detail = f"{_suite_detail(energy)}; {_suite_detail(sandwiches)}"
-    criterion(6, lemma10.passed and sandwich_ok, detail)
+    criterion(6, lemma10_passed and sandwich_ok, detail)
 
 
 # ---------------------------------------------------------------------------

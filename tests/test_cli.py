@@ -118,17 +118,6 @@ def test_verify_lemma10_takes_cases(tmp_path):
     assert report["config"]["cases"] == 3
 
 
-def test_verify_lemma10_bytes_independent_of_blas_threads(tmp_path):
-    # the pair-integral quadrature makes no BLAS call on its grid, so a run whose
-    # BLAS is pinned to one thread writes the same bytes as this process
-    argv = ["verify", "lemma10", "--cases", "7", "--reproducible"]
-    assert run([*argv, "--out", str(tmp_path / "here")]) == 0
-    code = f"import sys; from rmtgaps import cli; sys.exit(cli.main({[*argv, '--out', 'pinned']!r}))"
-    _fresh_python(code, tmp_path, OPENBLAS_NUM_THREADS="1")
-    for name in ("verify_lemma10.csv", "verify_lemma10.json"):
-        assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
-
-
 def test_verify_lemma9_holds_up_to_the_advertised_limit():
     assert run(["verify", "lemma9", "--n-max", str(loggas.MAX_PFAFFIAN_N)]) == 0
 
@@ -390,6 +379,10 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
         {"kind": "poisson-counts", "trials": 200, "interval": [0, float("inf")]},
         {"kind": "poisson-counts", "trials": 200, "interval": [0, 1e200]},
         {"kind": "poisson-counts", "trials": 200, "interval": [0, 10**400]},  # no float holds it
+        # nor any of these, which a run would first read as floats
+        {"kind": "conjecture-beta", "n": 10, "trials": 20, "beta": 10**400},
+        {"kind": "factorial-moments", "n": 20, "trials": 30, "thresholds": {"sigmas": 10**400}},
+        {"thresholds": {"ks_max": {"1": 10**400}}},
         {"kind": "factorial-moments", "interval": [0, float("inf")]},
         {"kind": "successive-gaps", "c0": float("inf")},
         {"kind": "successive-gaps", "c0": 1e300},
@@ -577,3 +570,94 @@ experiments.run_experiment(cfg, write_files=False)
 print(len(pools))
 """
     assert _fresh_python(code, tmp_path).split() == ["1"]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads: the package pins every loaded OpenBLAS to one thread unless the user set a count
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# OpenBLAS caps its threads at the CPU count, so on one CPU every setting reads 1
+multi_cpu = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
+
+
+@pytest.fixture
+def no_thread_variables(monkeypatch):
+    """Fresh interpreters start with no BLAS thread count set, whatever this process has."""
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+
+
+# defines blas_threads(): each mapped OpenBLAS's thread count, read through its own getter
+BLAS_THREADS = """
+import ctypes, os
+GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads")
+def blas_threads():
+    counts = {}
+    for line in open("/proc/self/maps"):
+        path = line.split(maxsplit=5)[-1].strip()
+        if "openblas" in os.path.basename(path):
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            counts[os.path.basename(path)] = next(getattr(lib, g)() for g in GETTERS if hasattr(lib, g))
+    return counts
+"""
+
+
+@multi_cpu
+@pytest.mark.parametrize(
+    "env,threads",
+    [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)],
+)
+def test_blas_threads_are_pinned_unless_set(tmp_path, no_thread_variables, env, threads):
+    # numpy comes first, as under pytest and the benchmark, so its OpenBLAS is already running
+    code = BLAS_THREADS + """
+import contextlib, io, json, multiprocessing, sys
+from concurrent.futures import ProcessPoolExecutor
+import numpy
+from rmtgaps import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "hermite"])
+with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+    worker = pool.submit(blas_threads).result()
+print(json.dumps([code, blas_threads(), worker, "scipy.linalg" in sys.modules]))
+"""
+    code, here, worker, scipy_linalg = json.loads(_fresh_python(code, tmp_path, **env).splitlines()[-1])
+    if not here:
+        pytest.skip("numpy loads no OpenBLAS")
+    # one OpenBLAS, numpy's: verify loads no scipy.linalg, so no second copy comes with it
+    assert (code, len(here), scipy_linalg) == (0, 1, False)
+    assert list(here.values()) == [threads]
+    assert worker == here  # a forked pool worker inherits the count
+
+
+@multi_cpu
+def test_artifacts_independent_of_blas_threads(tmp_path, no_thread_variables):
+    # every suite at the benchmark's options, and a dense crosscheck on a pool of two
+    runs = [
+        ["verify", s, "--seed", "1", "--out", f"out/{s}", *(["--n-max", "40"] if s == "lemma9" else [])]
+        for s in verify.SUITES
+    ]
+    runs.append(
+        ["experiment", "sampler-crosscheck", "--n", "200", "--trials", "25", "--seed", "1"]
+        + ["--workers", "2", "--config", "crosscheck.json", "--out", "out/crosscheck"]
+    )
+    code = BLAS_THREADS + f"""
+import contextlib, io, json
+from rmtgaps import cli
+threads = list(blas_threads().values())  # numpy's alone, before a run loads scipy's
+with open("crosscheck.json", "w") as f:
+    json.dump({{"gap_law_trials": 1250}}, f)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([*argv, "--reproducible"]) for argv in {runs!r}]
+print(json.dumps([codes, threads]))
+"""
+    seen = []
+    for env, want in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):
+        cwd = tmp_path / str(want)
+        cwd.mkdir()
+        codes, threads = json.loads(_fresh_python(code, cwd, **env).splitlines()[-1])
+        assert codes[:-1] == [0] * len(verify.SUITES)
+        assert threads in ([want], [])  # [] where numpy loads no OpenBLAS
+        out = cwd / "out"
+        seen.append((codes, {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}))
+    assert seen[0] == seen[1]

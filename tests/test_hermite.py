@@ -130,7 +130,7 @@ def test_wave_pointwise_matches_product():
 def test_wave_parseval_sweep():
     # 50 random root sets: coefficient norm against quadrature to 1e-9, among other checks
     result = verify.run_suite("hermite", {"seed": 2})
-    assert result.passed, result.rows
+    assert result.report("hermite", {"seed": 2}, None).passed, result.rows
 
 
 def test_wave_root_cap():
@@ -188,8 +188,9 @@ def test_energy_pair_single_zero_root():
 
 def test_energy_inequality_sweep():
     # 1000 random root sets with no energy violation, and the pair-integral bounds
-    result = verify.run_suite("lemma10", {"seed": 4, "cases": 1000})
-    assert result.passed, [row for row in result.rows if not row[3]]
+    options = {"seed": 4, "cases": 1000}
+    result = verify.run_suite("lemma10", options)
+    assert result.report("lemma10", options, None).passed, [row for row in result.rows if not row[3]]
 
 
 def test_energy_pair_rejects_large_root_count():

@@ -113,7 +113,7 @@ def test_alpha_against_quadrature_oracle():
     assert alpha_quadrature(1, 2) == pytest.approx(2 * SQ2, abs=1e-6)
     # the whole alpha table against the oracle, beta alpha = -4 I, nu parity and more
     result = verify.run_suite("coefficients")
-    assert result.passed, [row for row in result.rows if not row[3]]
+    assert result.report("coefficients", {}, None).passed, [row for row in result.rows if not row[3]]
 
 
 def test_determinant_polynomial_values():
