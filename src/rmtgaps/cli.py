@@ -5,9 +5,12 @@
     rmtgaps sample [options]              raw spectra export
 
 Configuration comes from an optional JSON file (--config) overridden by
-explicit flags; the merged config is echoed into every output header so a
-run can be reproduced from its own artifacts.  Exit codes: 0 success,
-1 statistical or verification failure, 2 usage error, 3 internal error.
+explicit flags.  A flag or config key the kind (or ``sample``) does not read,
+as each flag's help lists, is a usage error; so is a config ``kind`` other
+than the command's.  Every output header echoes the kind, the base seed and
+the fields the kind reads, so a run can be reproduced from its own artifacts.
+Exit codes: 0 success, 1 statistical or verification failure, 2 usage error,
+3 internal error.
 An ``OSError`` is a usage error only where ``--config`` is read or the
 output directory is made; elsewhere it is an internal error.
 
@@ -68,30 +71,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("experiment", help="run a seeded Monte Carlo experiment")
     pe.add_argument("kind", choices=experiments.KINDS)
-    _add_config_flags(pe)
+    _add_config_flags(pe, experiments.KINDS)
 
     ps = sub.add_parser("sample", help="write raw spectra as CSV")
-    _add_config_flags(ps)
+    _add_config_flags(ps, ("sample",))
 
     return parser
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser, kinds) -> None:
+    def read_by(name: str) -> str:
+        """The kinds that read config field ``name``: any other exits 2 on its flag."""
+        readers = [k for k in kinds if name in experiments.DECLARED[k].reads]
+        return "read by " + ("every kind" if len(readers) == len(kinds) > 1 else ", ".join(readers) or "none")
+
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument(
-        "--seed", type=int, default=None, dest="base_seed", metavar="SEED", help="base seed"
-    )
-    sub.add_argument("--interval", type=_interval, default=None, metavar="LO,HI")
-    sub.add_argument("--k-max", type=int, default=None)
-    sub.add_argument("--j-max", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--n", type=int, default=None, help=read_by("n"))
+    sub.add_argument("--beta", type=float, default=None, help=read_by("beta"))
+    sub.add_argument("--trials", type=int, default=None, help=read_by("trials"))
+    sub.add_argument("--seed", type=int, default=None, dest="base_seed", metavar="SEED", help="base seed")
+    sub.add_argument("--interval", type=_interval, default=None, metavar="LO,HI", help=read_by("interval"))
+    sub.add_argument("--k-max", type=int, default=None, help=read_by("k_max"))
+    sub.add_argument("--j-max", type=int, default=None, help=read_by("j_max"))
+    sub.add_argument("--workers", type=int, default=None, help=f"pool size, at most {experiments.MAX_WORKERS}")
     sub.add_argument("--out", default=None, dest="out_dir", metavar="OUT", help="output directory")
-    sub.add_argument("--sampler", choices=("dense", "tridiagonal"), default=None)
-    sub.add_argument("--scaling", choices=("unit", "nscaled"), default=None)
-    sub.add_argument("--c0", type=float, default=None, help="window top for successive-gaps")
+    sub.add_argument("--sampler", choices=("dense", "tridiagonal"), default=None, help=read_by("sampler"))
+    sub.add_argument("--scaling", choices=("unit", "nscaled"), default=None, help=read_by("scaling"))
+    sub.add_argument("--c0", type=float, default=None, help=read_by("c0"))
     sub.add_argument("--reproducible", action="store_true", default=None)
 
 
@@ -108,7 +114,8 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
         unknown = sorted(set(base) - set(fields))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    base["kind"] = kind
+    if base.setdefault("kind", kind) != kind:
+        raise UsageError(f"--config holds kind {base['kind']!r}, not {kind!r}")
     # each config flag's dest is the field it sets; an absent flag is None
     for name in fields:
         value = getattr(args, name, None)

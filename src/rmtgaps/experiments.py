@@ -30,11 +30,14 @@ so that ``rmtgaps verify`` never pays for it; without the parent-side load
 every forked worker of every run would import it anew, about 0.3 s of CPU
 each, since each run that draws starts its own pool.
 
-Statistical pass/fail thresholds live in the config (defaults below, taken
-from the acceptance targets); the experiment code never hard-codes one.
-An aggregator returns results and histograms only: a results key ending in
-``passed`` is a gate, a run passes when all its gates do, and
-``reports.RunReport`` derives that verdict and writes every artifact.
+Each experiment kind, and ``sample``, is declared once, by ``@_kind`` on its
+aggregator: its row parts, the config fields it reads, its order bound and
+its default thresholds (the acceptance targets, which a config overrides).
+``KINDS``, ``DEFAULT_THRESHOLDS``, the config checks and the config echo
+derive from the declarations.  An aggregator returns results and histograms
+only: a results key ending in ``passed`` is a gate, a run passes when all its
+gates do, and ``reports.RunReport`` derives that verdict and writes every
+artifact.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 import time
 from collections import OrderedDict, namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import count
 from numbers import Integral, Real
 from pathlib import Path
@@ -52,36 +55,35 @@ import numpy as np
 
 from . import __version__, ensemble, gapstats, reports, svgplot
 
-KINDS = (
-    "smallest-gap-law",
-    "poisson-counts",
-    "factorial-moments",
-    "successive-gaps",
-    "sampler-crosscheck",
-    "conjecture-beta",
-)
-
-# `sample` is not an experiment (no statistics), but reuses the config shape
-ALL_KINDS = KINDS + ("sample",)
-
-DEFAULT_THRESHOLDS = {
-    "smallest-gap-law": {"ks_max": {"1": 0.05, "2": 0.07, "3": 0.07}, "tau1_mean_tol": 0.05},
-    "poisson-counts": {"mean_sigmas": 3.0, "fm2_sigmas": 3.0, "gof_p_min": 0.01},
-    "factorial-moments": {"sigmas": 3.0},
-    "successive-gaps": {"sigmas": 3.0},
-    "sampler-crosscheck": {"two_sample_p_min": 0.01, "gap_law_ks_max": 0.01},
-    "conjecture-beta": {},
-}
+# the most pool workers a run may ask for; a pool starts all of its workers at once
+MAX_WORKERS = 64
 
 _HIST_BINS = 40
 
-# fewest trials a row part's statistic can be fitted on; any other part needs one
-_MIN_TRIALS = {
-    "smallest-gap-law": gapstats.KS_MIN_SAMPLES,
-    "conjecture-beta": gapstats.KS_MIN_SAMPLES,
-    "gap_law_n2": gapstats.KS_MIN_SAMPLES,
-    "poisson-counts": gapstats.GOF_MIN_SAMPLES,
-}
+
+# A row part: its spectra's spec (config -> EnsembleSpec), their columns ((config, block) ->
+# {column: array}), the fewest trials its statistic can be fitted on, its name (None: the
+# kind's one part, named after the kind) and the config field holding its trial count.
+Part = namedtuple("Part", "spec observe min_trials name trials", defaults=(None, 1, None, "trials"))
+# A kind's parts (name -> Part, in CSV order), the config fields it reads, its order bound
+# (config -> (name, largest order read, bound), or None), default thresholds and aggregator.
+Kind = namedtuple("Kind", "parts reads order thresholds aggregate")
+
+DECLARED = {}  # name -> Kind, in the order the kinds are declared below
+
+
+def _kind(name: str, *parts: Part, reads: tuple, order=None, thresholds=None):
+    """Declare kind ``name`` on its aggregator.  ``reads`` names the config fields it
+    reads other than the run fields (kind, base_seed, workers, out_dir, reproducible)
+    and ``thresholds``, which a kind with default thresholds reads."""
+
+    def declare(aggregate):
+        named = {part.name or name: part for part in parts}
+        fields_read = frozenset(reads) | ({"thresholds"} if thresholds else set())
+        DECLARED[name] = Kind(named, fields_read, order, thresholds or {}, aggregate)
+        return aggregate
+
+    return declare
 
 
 def _is_number(value) -> bool:
@@ -104,102 +106,96 @@ _VALUE_CHECKS = {
 }
 
 
+def _unset(default):
+    """A field that only some kinds read: None ("not set") until a kind that reads it fills in ``default``."""
+    return field(default=None, metadata={"default": default})
+
+
 @dataclass
 class ExperimentConfig:
-    """Knobs of one experiment run, echoed verbatim into every output."""
+    """Knobs of one experiment run, or of ``sample``.  A field left None is not
+    set; setting one the kind does not read is a ``ValueError``, and one the kind
+    reads takes its default.  The artifacts echo only :meth:`echo_dict`."""
 
     kind: str
-    n: int = 1000
-    beta: float = 1.0
-    trials: int = 4000
+    n: int = _unset(1000)
+    beta: float = _unset(1.0)
+    trials: int = _unset(4000)
     base_seed: int = 20240801
-    interval: tuple = (0.0, 2.0)
-    k_max: int = 1
-    j_max: int = 2
+    interval: tuple = _unset((0.0, 2.0))
+    k_max: int = _unset(1)
+    j_max: int = _unset(2)
     workers: int = 1
     out_dir: str = "out"
     reproducible: bool = False
-    sampler: str = ensemble.SAMPLER_TRIDIAGONAL
-    scaling: str = ensemble.SCALING_UNIT
-    c0: float = 1.0
-    gap_law_trials: int = 100_000
-    thresholds: dict = field(default_factory=dict)
+    sampler: str = _unset(ensemble.SAMPLER_TRIDIAGONAL)
+    scaling: str = _unset(ensemble.SCALING_UNIT)
+    c0: float = _unset(1.0)
+    gap_law_trials: int = _unset(100_000)
+    thresholds: dict = _unset({})
 
     def __post_init__(self):
+        optional = {f.name: f.metadata["default"] for f in fields(self) if f.metadata}
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _VALUE_CHECKS[f.type](value):
+            if not (value is None and f.name in optional or _VALUE_CHECKS[f.type](value)):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if self.kind not in ALL_KINDS:
+        if self.kind not in DECLARED:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        kind = DECLARED[self.kind]
+        unread = [name for name in optional if getattr(self, name) is not None and name not in kind.reads]
+        if unread:
+            raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
+        for name in kind.reads:
+            if getattr(self, name) is None:
+                setattr(self, name, optional[name])
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         # built first so a spec the ensemble rejects fails before any trial runs
-        self.specs = {part: _PARTS[part][0](self) for part in self.parts()}
-        lo, hi = self.interval
-        # hi^2 must not overflow, so that the window's Poisson intensity (hi^2 - lo^2)/8 is finite
-        if not 0 <= lo < hi <= math.sqrt(np.finfo(float).max):
-            raise ValueError("interval must satisfy 0 <= lo < hi, with hi^2 finite")
-        self.interval = (float(lo), float(hi))
-        if not self.c0 > 0:
-            raise ValueError("c0 must be positive")
-        if not math.isfinite(_lag2_bound(self.c0, self.n)):
-            raise ValueError("c0 must give a finite successive-gaps bound c0^4/(8n)")
-        # the largest order each kind reads and its bound; a gap order indexes the n - 1 gaps
-        orders = {
-            "smallest-gap-law": ("k_max", self.k_max, self.n - 1),
-            "conjecture-beta": ("k_max", self.k_max, self.n - 1),
-            "poisson-counts": ("j_max", self.j_max, self.n - 1),
-            "successive-gaps": ("its lag", 2, self.n - 1),
-            "factorial-moments": ("k_max", self.k_max, math.inf),
-        }
-        if self.kind in orders:
-            name, order, top = orders[self.kind]
+        self.specs = {name: part.spec(self) for name, part in kind.parts.items()}
+        if "interval" in kind.reads:
+            lo, hi = self.interval
+            # hi^2 must not overflow, so that the window's Poisson intensity (hi^2 - lo^2)/8 is finite
+            if not 0 <= lo < hi <= math.sqrt(np.finfo(float).max):
+                raise ValueError("interval must satisfy 0 <= lo < hi, with hi^2 finite")
+            self.interval = (float(lo), float(hi))
+        if "c0" in kind.reads and not (self.c0 > 0 and math.isfinite(_lag2_bound(self.c0, self.n))):
+            raise ValueError("c0 must be positive and give a finite successive-gaps bound c0^4/(8n)")
+        if kind.order is not None:
+            name, order, top = kind.order(self)
             if not 1 <= order <= top:
                 raise ValueError(f"{self.kind} needs {name} in 1..{top}, got {order}")
-        for part, count in self.parts().items():
-            need = _MIN_TRIALS.get(part, 1)
-            if count < need:
-                raise ValueError(f"{part} needs at least {need} trials, got {count}")
-        defaults = DEFAULT_THRESHOLDS.get(self.kind, {})
-        merged = dict(defaults)
-        for key, value in self.thresholds.items():
-            if key not in defaults:
-                raise ValueError(f"unknown threshold {key!r} for {self.kind}")
-            default = defaults[key]
-            if isinstance(default, dict):
-                ok = isinstance(value, dict) and all(map(_is_number, value.values()))
-            else:
-                ok = _is_number(value)
-            if not ok:
-                raise ValueError(f"threshold {key!r} has the wrong type: {value!r}")
-            if isinstance(default, dict):
-                # keyed by k: one this run reports, or one the defaults carry
-                known = {str(k) for k in range(1, self.k_max + 1)} | set(default)
-                if not set(value) <= known:
-                    raise ValueError(f"threshold {key!r} keys must be among {sorted(known)}")
-                value = {**default, **value}
-            merged[key] = value
-        self.thresholds = merged
+        for name, total in self.parts().items():
+            if total < kind.parts[name].min_trials:
+                raise ValueError(f"{name} needs at least {kind.parts[name].min_trials} trials, got {total}")
+        if "thresholds" in kind.reads:
+            merged = dict(kind.thresholds)
+            for key, value in self.thresholds.items():
+                if key not in merged:
+                    raise ValueError(f"unknown threshold {key!r} for {self.kind}")
+                default = merged[key]
+                if isinstance(default, dict):
+                    # keyed by k: one this run reports, or one the defaults carry
+                    known = {str(k) for k in range(1, self.k_max + 1)} | set(default)
+                    numbers = isinstance(value, dict) and all(map(_is_number, value.values()))
+                    if not (numbers and set(value) <= known):
+                        raise ValueError(f"threshold {key!r} must map keys among {sorted(known)} to numbers")
+                    value = {**default, **value}
+                elif not _is_number(value):
+                    raise ValueError(f"threshold {key!r} has the wrong type: {value!r}")
+                merged[key] = value
+            self.thresholds = merged
 
     def parts(self) -> dict:
-        """Row part -> trial count.  Only the crosscheck has several parts."""
-        if self.kind == "sampler-crosscheck":
-            return {
-                "dense_tau1": self.trials,
-                "tridiag_tau1": self.trials,
-                "gap_law_n2": self.gap_law_trials,
-            }
-        return {self.kind: self.trials}
+        """Row part -> trial count, in the kind's declared order."""
+        return {name: getattr(self, part.trials) for name, part in DECLARED[self.kind].parts.items()}
 
     def echo_dict(self) -> dict:
-        """Config as echoed into artifacts: everything that determines the
-        results.  Worker count only schedules the same deterministic trials,
-        so it is excluded to keep outputs byte-identical across pool sizes."""
-        d = asdict(self)
-        d["interval"] = list(self.interval)
-        del d["workers"]
-        return d
+        """Config as echoed into artifacts: the kind, the base seed and the fields the
+        kind reads.  Workers, output directory and ``reproducible`` change no result,
+        so the artifacts are the same bytes for any pool size and directory."""
+        reads = sorted(DECLARED[self.kind].reads)
+        return {name: getattr(self, name) for name in ("kind", "base_seed", *reads)}
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +211,10 @@ def _goe_spec(cfg: ExperimentConfig) -> ensemble.EnsembleSpec:
     if cfg.scaling != ensemble.SCALING_UNIT:
         raise ValueError(f"{cfg.kind} checks a GOE law, drawn in the unit scaling only")
     return _run_spec(cfg)
+
+
+# the fields a run on its own route reads: the trial count and the spec's
+_ROUTE = ("n", "trials", "beta", "scaling", "sampler")
 
 
 def _taus(cfg, block) -> dict:
@@ -240,29 +240,6 @@ def _raw_gaps(cfg, block) -> dict:
 
 def _tau1(cfg, block) -> dict:
     return {"value": gapstats.tau_sequence(block, 1)[:, 0]}
-
-
-# row part -> (config -> spec of its spectra, (config, block of sorted spectra) -> columns)
-_PARTS = {
-    "smallest-gap-law": (_goe_spec, _taus),
-    "poisson-counts": (_goe_spec, _window_counts),
-    "factorial-moments": (_goe_spec, lambda cfg, b: {"chi_tilde": _all_lags(cfg, b).sum(axis=1)}),
-    "successive-gaps": (
-        _goe_spec,
-        lambda cfg, b: {"lag2_count": gapstats.chi_tilde_counts(b, (0.0, cfg.c0), 2)[:, 1]},
-    ),
-    "conjecture-beta": (
-        lambda cfg: ensemble.EnsembleSpec(cfg.n, cfg.beta, ensemble.SCALING_NSCALED),
-        _raw_gaps,
-    ),
-    "sample": (_run_spec, None),  # written as drawn, see write_spectra_csv
-    "dense_tau1": (lambda cfg: ensemble.EnsembleSpec(cfg.n, sampler=ensemble.SAMPLER_DENSE), _tau1),
-    "tridiag_tau1": (lambda cfg: ensemble.EnsembleSpec(cfg.n), _tau1),
-    "gap_law_n2": (
-        lambda cfg: ensemble.EnsembleSpec(2, sampler=ensemble.SAMPLER_DENSE),
-        lambda cfg, b: {"value": b[:, 1] - b[:, 0]},
-    ),
-}
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses blocks nbytes max_bytes")
@@ -351,20 +328,22 @@ def _chunks(cfg: ExperimentConfig, keep: bool = True):
             spectra_memo.put(keys[part], block)
 
     draws = [(*keys[part], lo, hi) for part, lo, hi, stored in plan if stored is None]
-    if cfg.workers == 1 or not draws:
+    workers = min(cfg.workers, len(draws))  # a pool forks all its workers as it starts
+    if workers <= 1:
         yield from gather(ensemble.sample_block(*args) for args in draws)
     else:
         import scipy.linalg  # noqa: F401 - once here, so the forked workers inherit it
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from gather(pool.map(ensemble.sample_block, *zip(*draws)))
 
 
 def _columns(cfg: ExperimentConfig) -> dict:
     """part -> {column: array over the part's trials in trial order}, in cfg.parts() order."""
-    observed = {part: [] for part in cfg.parts()}
+    parts = DECLARED[cfg.kind].parts
+    observed = {part: [] for part in parts}
     for part, _, block in _chunks(cfg):
-        observed[part].append(_PARTS[part][1](cfg, block))
+        observed[part].append(parts[part].observe(cfg, block))
     return {
         part: {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
         for part, chunks in observed.items()
@@ -372,7 +351,7 @@ def _columns(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# aggregation per experiment kind
+# aggregation, and the declaration of each experiment kind on its aggregator
 
 
 def _mean_se(x: np.ndarray) -> tuple:
@@ -390,15 +369,14 @@ def _fit_gap_law(samples, k: int, beta: float, title: str, xlabel: str) -> tuple
     """KS distance and p-value of samples against the k-th gap law, and their histogram."""
     d, p = gapstats.ks_test(samples, lambda x: gapstats.limiting_tau_cdf(k, x, beta))
     svg = svgplot.histogram_svg(
-        samples,
-        _HIST_BINS,
-        title=title,
-        xlabel=xlabel,
-        density_fn=lambda x: gapstats.limiting_tau_pdf(k, x, beta),
+        samples, _HIST_BINS, title, xlabel, density_fn=lambda x: gapstats.limiting_tau_pdf(k, x, beta)
     )
     return d, p, svg
 
 
+@_kind("smallest-gap-law", Part(_goe_spec, _taus, gapstats.KS_MIN_SAMPLES), reads=(*_ROUTE, "k_max"),
+       order=lambda cfg: ("k_max", cfg.k_max, cfg.n - 1),  # a gap order indexes the n - 1 gaps
+       thresholds={"ks_max": {"1": 0.05, "2": 0.07, "3": 0.07}, "tau1_mean_tol": 0.05})
 def _agg_smallest_gap_law(cfg, columns):
     thr = cfg.thresholds
     results = {"trials": cfg.trials}
@@ -409,11 +387,7 @@ def _agg_smallest_gap_law(cfg, columns):
             taus, k, 1.0, f"normalized gap tau_{k}, n={cfg.n}, {cfg.trials} trials", f"tau_{k}"
         )
         ks_max = thr["ks_max"].get(str(k))
-        entry = {
-            "ks_distance": d,
-            "ks_p": p,
-            "mean": float(np.mean(taus)),
-        }
+        entry = {"ks_distance": d, "ks_p": p, "mean": float(np.mean(taus))}
         if ks_max is not None:
             entry["ks_max"] = ks_max
             entry["ks_passed"] = bool(d < ks_max)
@@ -427,6 +401,9 @@ def _agg_smallest_gap_law(cfg, columns):
     return results, svgs
 
 
+@_kind("poisson-counts", Part(_goe_spec, _window_counts, gapstats.GOF_MIN_SAMPLES),
+       reads=(*_ROUTE, "interval", "j_max"), order=lambda cfg: ("j_max", cfg.j_max, cfg.n - 1),
+       thresholds={"mean_sigmas": 3.0, "fm2_sigmas": 3.0, "gof_p_min": 0.01})
 def _agg_poisson_counts(cfg, columns):
     thr = cfg.thresholds
     chi, chi_tilde = columns[cfg.kind]["chi"], columns[cfg.kind]["chi_tilde"]
@@ -451,6 +428,9 @@ def _agg_poisson_counts(cfg, columns):
     return results, svgs
 
 
+@_kind("factorial-moments", Part(_goe_spec, lambda cfg, b: {"chi_tilde": _all_lags(cfg, b).sum(axis=1)}),
+       reads=(*_ROUTE, "interval", "k_max"), order=lambda cfg: ("k_max", cfg.k_max, math.inf),
+       thresholds={"sigmas": 3.0})
 def _agg_factorial_moments(cfg, columns):
     thr = cfg.thresholds
     chi_tilde = columns[cfg.kind]["chi_tilde"].astype(np.float64)
@@ -473,6 +453,9 @@ def _lag2_bound(c0, n: int) -> float:
         return math.inf
 
 
+@_kind("successive-gaps",
+       Part(_goe_spec, lambda cfg, b: {"lag2_count": gapstats.chi_tilde_counts(b, (0.0, cfg.c0), 2)[:, 1]}),
+       reads=(*_ROUTE, "c0"), order=lambda cfg: ("its lag", 2, cfg.n - 1), thresholds={"sigmas": 3.0})
 def _agg_successive_gaps(cfg, columns):
     thr = cfg.thresholds
     counts = columns[cfg.kind]["lag2_count"]
@@ -493,6 +476,14 @@ def _agg_successive_gaps(cfg, columns):
     return results, svgs
 
 
+@_kind("sampler-crosscheck",
+       Part(lambda cfg: ensemble.EnsembleSpec(cfg.n, sampler=ensemble.SAMPLER_DENSE), _tau1,
+            name="dense_tau1"),
+       Part(lambda cfg: ensemble.EnsembleSpec(cfg.n), _tau1, name="tridiag_tau1"),
+       Part(lambda cfg: ensemble.EnsembleSpec(2, sampler=ensemble.SAMPLER_DENSE),
+            lambda cfg, b: {"value": b[:, 1] - b[:, 0]}, gapstats.KS_MIN_SAMPLES, name="gap_law_n2",
+            trials="gap_law_trials"),
+       reads=("n", "trials", "gap_law_trials"), thresholds={"two_sample_p_min": 0.01, "gap_law_ks_max": 0.01})
 def _agg_sampler_crosscheck(cfg, columns):
     thr = cfg.thresholds
     dense, tridiag, gaps2 = (columns[part]["value"] for part in cfg.parts())
@@ -508,18 +499,15 @@ def _agg_sampler_crosscheck(cfg, columns):
         "gap_law_p": pg,
         "gap_law_passed": bool(dg < thr["gap_law_ks_max"]),
     }
-    svgs = {
-        "gap_law_n2": svgplot.histogram_svg(
-            gaps2,
-            _HIST_BINS,
-            title=f"2x2 eigenvalue gap, {gaps2.size} trials",
-            xlabel="gap",
-            density_fn=gapstats.two_by_two_gap_pdf,
-        )
-    }
-    return results, svgs
+    title = f"2x2 eigenvalue gap, {gaps2.size} trials"
+    svg = svgplot.histogram_svg(gaps2, _HIST_BINS, title, "gap", density_fn=gapstats.two_by_two_gap_pdf)
+    return results, {"gap_law_n2": svg}
 
 
+@_kind("conjecture-beta",
+       Part(lambda cfg: ensemble.EnsembleSpec(cfg.n, cfg.beta, ensemble.SCALING_NSCALED), _raw_gaps,
+            gapstats.KS_MIN_SAMPLES),
+       reads=("n", "trials", "beta", "k_max"), order=lambda cfg: ("k_max", cfg.k_max, cfg.n - 1))
 def _agg_conjecture_beta(cfg, columns):
     """Exploratory: empirical scale by median matching, shape diagnostics only."""
     beta = cfg.beta
@@ -540,21 +528,19 @@ def _agg_conjecture_beta(cfg, columns):
     return results, svgs
 
 
-_AGGREGATORS = {
-    "smallest-gap-law": _agg_smallest_gap_law,
-    "poisson-counts": _agg_poisson_counts,
-    "factorial-moments": _agg_factorial_moments,
-    "successive-gaps": _agg_successive_gaps,
-    "sampler-crosscheck": _agg_sampler_crosscheck,
-    "conjecture-beta": _agg_conjecture_beta,
-}
+# `sample` is no experiment: it aggregates nothing, and write_spectra_csv writes its spectra as drawn
+_kind("sample", Part(_run_spec), reads=_ROUTE)(None)
+
+KINDS = tuple(name for name, kind in DECLARED.items() if kind.aggregate is not None)
+
+DEFAULT_THRESHOLDS = {name: DECLARED[name].thresholds for name in KINDS}
 
 
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> reports.RunReport:
     """Run all trials, aggregate, optionally write CSV/JSON/SVG artifacts."""
     t0 = time.perf_counter()
     columns = _columns(cfg)
-    results, svgs = _AGGREGATORS[cfg.kind](cfg, columns)
+    results, svgs = DECLARED[cfg.kind].aggregate(cfg, columns)
     wall = None if cfg.reproducible else time.perf_counter() - t0
     report = reports.RunReport("experiment", cfg.kind, cfg.echo_dict(), results, wall)
     if write_files:

@@ -360,25 +360,25 @@ def _trapezoid_axis(lo: float, hi: float, cells: int):
     return grid, w
 
 
-def _constrained_value(n: int, constraint, l: int, level: int) -> float:
-    """One tensor-quadrature evaluation of E_{n,k,l} at a refinement level.
+def _constrained_value(n: int, constraint: GapConstraint, l: int, level: int) -> float:
+    """One tensor-quadrature evaluation of E_{n,k,l} at a refinement level,
+    for a shape that :func:`integrate_constrained` accepts.
 
     Coordinates are the m = n-l gas positions, with each constrained gap
     substituted by its own variable u (unit Jacobian).  This keeps the |u|
     kink and the window endpoints exactly on grid nodes, which a raw
     indicator on the position grid cannot do.
 
-    With m <= 3 at most one gap is constrained, and it pairs the last two
-    positions r = m-2 and s = m-1: x_s = x_r + u.  Rows run over x_r and
-    columns over a window, the base grid when no gap is constrained (then
-    x_s is the column coordinate).  Per window the slab product
-    F = exp(g_r + g_s) |x_r - x_s|^(q_r q_s), with g = -q x^2 / 2, is formed
-    once.  For m = 3 each grid point x_0 adds its own Gaussian times
-    row @ F @ col, where the pair factors of x_0 with x_r and x_s are the
-    row and column vectors.  With a gap, |x_0 - x_s| varies over the whole
-    slab, and ``_gap_core_sum`` sums it against G = F w by moments in u.
+    At most one gap is constrained, and it pairs the last two positions
+    r = m-2 and s = m-1: x_s = x_r + u.  Rows run over x_r and columns over
+    a window, the base grid when every constrained pair is merged (k = l,
+    then m <= 2 and x_s is the column coordinate).  Per window the slab
+    product F = exp(g_r + g_s) |x_r - x_s|^(q_r q_s), with g = -q x^2 / 2,
+    is formed once.  At m = 3 a gap is constrained, |x_0 - x_s| varies over
+    the whole slab, and ``_gap_core_sum`` sums it against G = F w by
+    moments in u.
     """
-    k = constraint.k if constraint is not None else l
+    k = constraint.k
     m = n - l
     q = [2.0] * l + [1.0] * (m - l)
 
@@ -405,16 +405,9 @@ def _constrained_value(n: int, constraint, l: int, level: int) -> float:
         F *= np.abs(x_r - x_s) ** (q[r] * q[s])
         if m == 2:
             total += float(base_w @ F @ w)
-        elif k != l:
+        else:
             F *= w
             total += _gap_core_sum(base_grid, base_w, grid, F, q[0], q[0] * q[r], q[0] * q[s])
-        else:
-            acc = 0.0
-            for x0, w0 in zip(base_grid, base_w):
-                wout = w0 * np.exp(-0.5 * q[0] * x0**2)
-                row = base_w * np.abs(x0 - base_grid) ** (q[0] * q[r])
-                acc += wout * float(row @ F @ (w * np.abs(x0 - grid) ** (q[0] * q[s])))
-            total += acc
     return total
 
 
@@ -478,7 +471,7 @@ def _gap_core_sum(x, w, u, G, q0: float, p_r: float, p_s: float) -> float:
 
 def integrate_constrained(
     n: int,
-    constraint,
+    constraint: GapConstraint,
     l: int,
     *,
     stop_rel: float = 1e-5,
@@ -497,9 +490,12 @@ def integrate_constrained(
     X R log U and each refinement level about 4 times the one before.  At
     m = 4 two coordinates would be summed point by point outside the grid
     slab, and one level alone takes seconds; every refinement level costs
-    16 times more.
+    16 times more.  No suite reaches m = 3 with every pair merged (k = l),
+    nor a missing constraint, so both are refused too.
     """
-    k = constraint.k if constraint is not None else l
+    if not isinstance(constraint, GapConstraint):
+        raise ValueError("need a GapConstraint")
+    k = constraint.k
     m = n - l
     if m > 3:
         raise ValueError("direct quadrature limited to n - l <= 3 live coordinates")
@@ -507,6 +503,8 @@ def integrate_constrained(
         raise ValueError("need 0 <= l <= k")
     if m < 2 * (k - l):
         raise ValueError("not enough coordinates for the requested pairs")
+    if m == 3 and k == l:
+        raise ValueError("with every pair merged, direct quadrature is limited to n - l <= 2")
     prev = None
     for level in range(max_levels):
         val = _constrained_value(n, constraint, l, level)

@@ -6,8 +6,9 @@ Every ``verify`` and ``experiment`` run ends in one :class:`RunReport`, whose
 its gates do, so its JSON verdict cannot disagree with the gates it lists.
 
 Every CSV starts with a metadata block ('#'-prefixed lines) echoing the
-full configuration and base seed, so any output can be reproduced from its
-own header.  Floats are rendered with repr (shortest round-trip), which
+configuration that determines the results (for an experiment, the fields its
+kind reads) and the base seed, so any output can be reproduced from its own
+header.  Floats are rendered with repr (shortest round-trip), which
 keeps byte-identical output across runs and worker counts.
 """
 
@@ -25,7 +26,7 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class RunReport:
-    """Results of one run, the verbatim config echo and the verdict of its gates."""
+    """Results of one run, its config echo and the verdict of its gates."""
 
     command: str
     kind: str

@@ -240,11 +240,12 @@ def test_flags_override_config(tmp_path):
     report = json.loads((out / "smallest-gap-law.json").read_text())
     assert report["config"]["n"] == 40  # flag wins
     assert report["config"]["base_seed"] == 7
-    assert report["config"]["out_dir"] == str(out)
     assert report["config"]["trials"] == 10  # config file survives
-    # an absent --reproducible leaves the file's true in place
-    assert report["config"]["reproducible"] is True
+    # neither changes a result, so neither is echoed
+    assert "out_dir" not in report["config"] and "reproducible" not in report["config"]
+    # an absent --reproducible leaves the file's true in place: no wall clock, no timestamp
     assert report["wall_clock_seconds"] is None
+    assert not any(line.startswith("# generated=") for line in read_lines(out / "smallest-gap-law.csv"))
 
 
 def test_sample_writes_sorted_spectra(tmp_path):
@@ -340,11 +341,47 @@ def test_dense_route_rejects_other_beta_and_scaling(tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["conjecture-beta", "sampler-crosscheck"])
-def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
-    # conjecture-beta always draws n-scaled tridiagonal spectra, the crosscheck its own three specs
-    code, _ = run_tiny(tmp_path, kind, ["--sampler", "dense", "--beta", "2"])
-    assert code == 0
+# per command, one config field it does not read: its flag, and its value as a config key
+UNREAD = {
+    ("experiment", "smallest-gap-law"): ("--c0", "3", 3.0),
+    ("experiment", "poisson-counts"): ("--k-max", "2", 2),
+    ("experiment", "factorial-moments"): ("--j-max", "2", 2),
+    ("experiment", "successive-gaps"): ("--interval", "0,1", [0, 1]),
+    # the crosscheck draws its own three specs, and conjecture-beta n-scaled tridiagonal spectra
+    ("experiment", "sampler-crosscheck"): ("--sampler", "dense", "dense"),
+    ("experiment", "conjecture-beta"): ("--scaling", "unit", "unit"),
+    ("sample",): ("--k-max", "9", 9),
+}
+
+
+def test_unread_cases_cover_every_kind():
+    assert {command[-1] for command in UNREAD} == {*experiments.KINDS, "sample"}
+
+
+@pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", UNREAD, ids=lambda command: command[-1])
+def test_unread_field_is_usage_error(tmp_path, monkeypatch, command, as_config):
+    monkeypatch.setattr(ensemble, "sample_block", _no_draws)
+    flag, text, value = UNREAD[command]
+    field = flag.removeprefix("--").replace("-", "_")
+    assert field not in experiments.DECLARED[command[-1]].reads
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value} if as_config else {}))
+    out = tmp_path / "o"
+    args = [*command, "--n", "20", "--trials", "200", "--config", str(cfg), "--out", str(out)]
+    assert run(args if as_config else [*args, flag, text]) == 2
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"does not read {field}"):
+        experiments.ExperimentConfig(kind=command[-1], **{field: value})
+
+
+@pytest.mark.parametrize("command", [["experiment", "smallest-gap-law"], ["sample"]])
+def test_config_of_another_kind_is_usage_error(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "poisson-counts"}))
+    out = tmp_path / "o"
+    assert run([*command, "--n", "20", "--trials", "200", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -353,7 +390,7 @@ def test_fixed_spec_kinds_ignore_run_route(tmp_path, kind):
         {"bogus": 1},
         {"thresholds": 5},
         [1, 2],
-        {"interval": 5},
+        {"kind": "poisson-counts", "trials": 200, "interval": 5},
         {"thresholds": {"ks_max": 5}},
         {"thresholds": {"ks_maxx": {"1": 1e-9}}},  # misspelt; must not fall back to the default
         {"thresholds": {"ks_max": {"01": 0.5}}},  # misspelt k
@@ -478,6 +515,10 @@ def test_unreadable_config_or_output_directory_is_usage_error(tmp_path, monkeypa
     assert run(argv) == 2
 
 
+def _no_draws(*args):
+    raise AssertionError("a spectrum was drawn")
+
+
 def _full_disk(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -492,6 +533,36 @@ def test_os_error_inside_a_run_is_internal(tmp_path, monkeypatch, target, attr, 
     experiments.spectra_memo.cache_clear()  # so the run draws, and reaches the patched call
     code, _ = run_tiny(tmp_path, "smallest-gap-law", ["--workers", workers])
     assert code == 3
+
+
+def test_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and maps in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    experiments.spectra_memo.cache_clear()  # so the runs draw
+    args = ["experiment", "smallest-gap-law", "--n", "20", "--trials", "20", "--reproducible"]
+    top = experiments.MAX_WORKERS
+    assert run([*args, "--workers", str(top + 1), "--out", str(tmp_path / "over")]) == 2
+    assert not (tmp_path / "over").exists()
+    code, _ = run_tiny(tmp_path, "smallest-gap-law", ["--workers", str(top), "--trials", "20"])
+    assert code == 0
+    # 20 trials over 64 workers: one trial per chunk, so 20 chunks and 20 workers
+    assert sizes == [20]
 
 
 def test_crosscheck_starts_one_pool(tmp_path, monkeypatch):

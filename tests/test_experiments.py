@@ -168,7 +168,7 @@ def test_gap_law_kinds_draw_their_spectra_once(tmp_path, memo, monkeypatch, work
     }
 
     def run(kind):
-        out = tmp_path / kind  # the same for the cold and the warm run: it is echoed
+        out = tmp_path / kind
         shared = {"n": 40, "trials": 200, "base_seed": 4, "workers": workers, "reproducible": True}
         run_experiment(_gap_config(kind, **shared, **kinds[kind], out_dir=str(out)))
         return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
@@ -287,42 +287,42 @@ PINNED_RUNS = {
     "smallest-gap-law": (
         ["experiment", "smallest-gap-law", "--n", "50", "--trials", "30", "--k-max", "2"],
         {"thresholds": {"ks_max": {"1": 0.5, "2": 0.5}, "tau1_mean_tol": 0.5}},
-        "959fcd32ff99e5ab153b50a6d95d9c6394bee3a9b1a592084ff805ff3d045efc",
+        "c8de9416f41133e00e4fcb59b3fa31356d42c50eeefdfbef1f6351410033a540",
     ),
     "poisson-counts": (
         ["experiment", "poisson-counts", "--n", "40", "--trials", "200", "--j-max", "2"],
         None,
-        "d18f6f1dc73c004c071d6bb3642949a33492ba4cc28dd95dcaef8192960a1442",
+        "08a318791eca7834440634a11f0f71c4bec96e19e6dfad349241fcf706c9e9a6",
     ),
     "factorial-moments": (
         ["experiment", "factorial-moments", "--n", "40", "--trials", "30", "--k-max", "2"],
         None,
-        "0ba81b0e961ce31c728f07da9af9421b4e2e37d53f81e33128f6ab125f735d8d",
+        "2aaab854ee790be7e1a80da355a258a0762104a3e48857fba0bc49f6ba53bfc3",
     ),
     "successive-gaps": (
         ["experiment", "successive-gaps", "--n", "40", "--trials", "30", "--c0", "3"],
         None,
-        "3742005b043a4e312b28fb2c903767fbd47a54c8ad23c9822ea21a212729f65f",
+        "2bb13a0aafe5a3f8356d2de273c0b436e06a44023175f92b4bbf49cb25eaf289",
     ),
     "sampler-crosscheck": (
         ["experiment", "sampler-crosscheck", "--n", "20", "--trials", "20"],
         {"gap_law_trials": 200},
-        "7666274c9ef9046274567b52e04019f48dc6b4e836bb65e797695759120b953f",
+        "35596bbd0a902b305df9c8a4b1fcddc3b2f7e25132a1233f609ad8d9466d8bb5",
     ),
     "conjecture-beta": (
         ["experiment", "conjecture-beta", "--n", "40", "--beta", "2", "--trials", "30", "--k-max", "2"],
         None,
-        "c39b33aa4e531633cef27bc03b1639443a8a21983b781a1c6cce969c57e2786d",
+        "3988a2a179ff6dc91e776d07f2bf880939bb14e5000ac95e8a196d3b296f7de8",
     ),
     "sample-tridiagonal": (
         ["sample", "--n", "12", "--trials", "7", "--beta", "2.5", "--scaling", "nscaled"],
         None,
-        "eaba1625ebbcc61000eced0a2776a0badd60311e20d224a4365579ca01b2f86a",
+        "93e3bd5a5d5e1183b2bfe8d54906c2d979c1bbfcd880f946f7409bd696ca5662",
     ),
     "sample-dense": (
         ["sample", "--sampler", "dense", "--n", "6", "--trials", "9"],
         None,
-        "a8d0de6330d683435c66b9f49aa7cfc4b1a5bc0111fb80e731e537535af4f9c5",
+        "8383512fd2a7875bb517deb2657abb2b4a1bf743c9c7fee14a7fb0d7eca80594",
     ),
 }
 
@@ -334,17 +334,29 @@ def _artifacts_sha256(out) -> str:
     return h.hexdigest()
 
 
+def _pinned_run(name: str, out: Path, workers: int = 1) -> str:
+    """Run PINNED_RUNS[name] into ``out``; the sha256 of its artifacts."""
+    argv, config, _ = PINNED_RUNS[name]
+    argv = [*argv, "--seed", "11", "--workers", str(workers), "--out", str(out), "--reproducible"]
+    if config is not None:
+        path = out.parent / f"{out.name}.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAILURE)
+    return _artifacts_sha256(out)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
-def test_reproducible_artifacts_keep_their_bytes(tmp_path, monkeypatch, memo, name, workers):
-    argv, config, digest = PINNED_RUNS[name]
-    monkeypatch.chdir(tmp_path)  # the output directory is echoed, so it is the same relative path
-    argv = [*argv, "--seed", "11", "--workers", str(workers), "--out", "out", "--reproducible"]
-    if config is not None:
-        Path("config.json").write_text(json.dumps(config))
-        argv += ["--config", "config.json"]
-    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAILURE)
-    assert _artifacts_sha256(Path("out")) == digest
+def test_reproducible_artifacts_keep_their_bytes(tmp_path, memo, name, workers):
+    assert _pinned_run(name, tmp_path / "out", workers) == PINNED_RUNS[name][2]
+
+
+@pytest.mark.parametrize("name", ["sampler-crosscheck", "sample-dense"])
+def test_artifacts_do_not_depend_on_the_output_directory(tmp_path, memo, name):
+    # the output directory is not echoed: an experiment and the spectra export write the same bytes anywhere
+    (tmp_path / "deeper").mkdir()
+    assert _pinned_run(name, tmp_path / "out") == _pinned_run(name, tmp_path / "deeper" / "elsewhere")
 
 
 # one `verify` run per suite at the benchmark's options: --seed 1, lemma9 at --n-max 40

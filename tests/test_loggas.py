@@ -218,14 +218,18 @@ def test_constrained_quadrature_refinement_failure():
 
 
 def test_constrained_quadrature_dimension_cap():
-    for n, k, l in ((5, 1, 0), (4, 1, 0), (5, 2, 1)):
+    # m = n - l > 3; m = 3 with every pair merged; no constraint at all
+    shapes = [(5, 1, 0), (4, 1, 0), (5, 2, 1), (5, 2, 2), (4, 1, 1)]
+    cases = [(n, GapConstraint(k, 0.1), l) for n, k, l in shapes]
+    cases += [(n, None, 0) for n in (1, 2, 3)]
+    for n, constraint, l in cases:
         with pytest.raises(ValueError):
-            integrate_constrained(n, GapConstraint(k, 0.1), l)
+            integrate_constrained(n, constraint, l)
 
 
 def _full_tensor_value(n, constraint, l, level):
     """The constrained integrand evaluated on the whole tensor grid at once."""
-    k = constraint.k if constraint is not None else l
+    k = constraint.k
     m, kappa = n - l, k - l
     q = [2.0] * l + [1.0] * (m - l)
     box = loggas._BOX_HALF
@@ -254,13 +258,13 @@ def _full_tensor_value(n, constraint, l, level):
     return total
 
 
-# (n, k, l) over m = n - l = 1..3 and kappa = k - l = 0, 1 with m >= 2 kappa;
-# k = 0 stands for constraint=None.  (4, 2, 1) and (5, 2, 2) put double
-# charges inside m = 3; with a constrained gap, (3, 1, 0), (4, 2, 1),
-# (5, 3, 2) and (6, 4, 3) give the x_0 pair exponents 1, 2, 2 and 4.
+# (n, k, l) over m = n - l = 1..3 and kappa = k - l = 0, 1 with m >= 2 kappa,
+# and kappa = 1 at m = 3: the shapes integrate_constrained accepts.  (4, 2, 1)
+# puts double charges inside m = 3; with a constrained gap, (3, 1, 0),
+# (4, 2, 1), (5, 3, 2) and (6, 4, 3) give the x_0 pair exponents 1, 2, 2 and 4.
 _SHAPES = [
-    (1, 0, 0), (2, 1, 1), (2, 0, 0), (3, 1, 1), (2, 1, 0), (3, 0, 0),
-    (4, 2, 2), (3, 1, 0), (4, 2, 1), (5, 2, 2), (5, 3, 2), (6, 4, 3),
+    (2, 1, 1), (3, 1, 1), (2, 1, 0), (4, 2, 2),
+    (3, 1, 0), (4, 2, 1), (5, 3, 2), (6, 4, 3),
 ]
 
 
@@ -268,10 +272,9 @@ _SHAPES = [
 def test_constrained_value_matches_full_tensor(monkeypatch, n, k, l):
     monkeypatch.setattr(loggas, "_BASE_CELLS", 6)
     monkeypatch.setattr(loggas, "_GAP_CELLS", 2)
-    bounds = [None] if k == 0 else [0.3, (0.2, 0.7)]
     levels = (0, 1, 2) if n - l == 3 else (0, 1)
-    for bound, level in product(bounds, levels):
-        constraint = None if bound is None else GapConstraint(k, bound)
+    for bound, level in product([0.3, (0.2, 0.7)], levels):
+        constraint = GapConstraint(k, bound)
         fast = loggas._constrained_value(n, constraint, l, level)
         assert fast == pytest.approx(_full_tensor_value(n, constraint, l, level), rel=1e-12)
 
