@@ -153,7 +153,8 @@ def _suite_hermite(seed=0) -> SuiteResult:
     rows.append(("recurrence_matches_closed_form_40", 0.0, 0.0, exact))
 
     grid = np.linspace(-20.0, 20.0, 4001)
-    bound = float(np.max(np.abs(hermite.phi_rows(200, grid))))
+    phis = hermite.phi_rows(200, grid)
+    bound = float(np.max(np.abs(phis, out=phis)))
     rows.append(("wave_function_bound", bound, 0.8, bound <= 0.8))
 
     waves = (hermite.roots_to_wave(rng.uniform(-3.0, 3.0, rng.integers(0, 11))) for _ in range(50))

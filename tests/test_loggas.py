@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from rmtgaps import hermite, loggas, verify
+from rmtgaps import hermite, loggas, skewlin, verify
 from rmtgaps.loggas import (
     AccuracyError,
     GapConstraint,
@@ -114,6 +114,29 @@ def test_alpha_against_quadrature_oracle():
     # the whole alpha table against the oracle, beta alpha = -4 I, nu parity and more
     result = verify.run_suite("coefficients")
     assert result.report("coefficients", {}, None).passed, [row for row in result.rows if not row[3]]
+
+
+# sha256 of the oracle tables' bytes, recorded when each stage of the trapezoid
+# built a new array; the in-place build must keep every bit
+_ALPHA_QUADRATURE_SHA256 = {
+    16: "6911f6e03789d31590f49b90a24f6da9c95cd7cd2c31fee15f70f4eb52dc06ac",
+    32: "184d1b65b143ec4ba2ae124f4226d4e93a255fa724699de4dda2b0667efa04c1",
+    40: "e4cb769b8bd8ab6f0e3675ba9c35a04cff5776a5ad5f272c448fa2b7eb3683e2",
+}
+
+
+@pytest.mark.parametrize("jmax", sorted(_ALPHA_QUADRATURE_SHA256))
+def test_alpha_quadrature_table_keeps_its_bits(jmax):
+    table = loggas._alpha_quadrature_table.__wrapped__(jmax)  # built afresh, not read from the cache
+    assert hashlib.sha256(table.tobytes()).hexdigest() == _ALPHA_QUADRATURE_SHA256[jmax]
+
+
+def test_alpha_quadrature_holds_at_its_limit():
+    err = max(abs(alpha_coeff(j, k) - alpha_quadrature(j, k)) for j in range(1, 41) for k in range(1, 41))
+    assert err < 1e-6
+    for j, k in ((0, 1), (1, 0), (41, 1), (1, 41)):
+        with pytest.raises(ValueError):
+            alpha_quadrature(j, k)
 
 
 def test_determinant_polynomial_values():
@@ -329,3 +352,19 @@ def test_three_coordinate_gap_core_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_suite_memory(suite):
+    # each suite run cold, as the benchmark runs it, stays within a fixed traced peak
+    for module in (hermite, loggas, skewlin):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
+                obj.cache_clear()
+    tracemalloc.start()
+    try:
+        verify.run_suite(suite, {"n_max": 40} if suite == "lemma9" else {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
