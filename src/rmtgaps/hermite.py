@@ -9,8 +9,8 @@ normalized three-term recurrence
 never through the raw 2^j j! formula, which overflows near j ~ 150.
 
 Gaussian-times-polynomial functions F(x) = e^{-x^2/2} prod (x - root_i) are
-carried as coefficient vectors in the phi basis (:class:`WaveExpansion`),
-where multiplication by x, differentiation and L^2 norms are exact sparse
+carried as arrays of their coefficients in the phi basis, where
+multiplication by x, differentiation and L^2 norms are exact sparse
 recurrences.  The band and offset pair integrals are the exception: their
 dense-grid quadrature evaluates |F| straight from the roots.
 """
@@ -18,7 +18,6 @@ dense-grid quadrature evaluates |F| straight from the roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,55 +32,21 @@ _HALF_ROOTS = np.sqrt(np.arange(1, MAX_WAVE_ROOTS + 1) / 2.0)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
 
 
-@dataclass(frozen=True)
-class HermitePoly:
-    """Physicists' Hermite polynomial with exact integer coefficients."""
-
-    degree: int
-    coefficients: tuple  # ascending powers, Python ints
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite rule: integrates e^{-x^2} * f(x) exactly for
-    polynomials f of degree <= 2*len(nodes) - 1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate_weighted(self, fvals: np.ndarray) -> float:
-        """Sum w_i * fvals_i for fvals = f(nodes) of the smooth factor f."""
-        return float(np.dot(self.weights, fvals))
-
-
-@dataclass(frozen=True)
-class WaveExpansion:
-    """Coefficients a_0..a_m of a function in the oscillator basis."""
-
-    coefficients: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def l2_norm_sq(self) -> float:
-        return float(np.dot(self.coefficients, self.coefficients))
-
-
-def hermite_poly(j: int) -> HermitePoly:
-    """H_j by the two-term recurrence H_{j+1} = 2x H_j - 2j H_{j-1}."""
+def hermite_poly(j: int) -> tuple:
+    """Exact integer coefficients of H_j, ascending powers, by the two-term
+    recurrence H_{j+1} = 2x H_j - 2j H_{j-1}."""
     if not 0 <= j <= MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
     prev = [1]
     if j == 0:
-        return HermitePoly(0, tuple(prev))
+        return tuple(prev)
     cur = [0, 2]
     for k in range(1, j):
         nxt = [0] + [2 * c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= 2 * k * c
         prev, cur = cur, nxt
-    return HermitePoly(j, tuple(cur))
+    return tuple(cur)
 
 
 def hermite_coeff_closed(j: int, power: int) -> int:
@@ -127,8 +92,10 @@ def phi_rows(jmax: int, x) -> np.ndarray:
     return _recurrence_rows(jmax, x, gaussian=True)
 
 
-def gauss_hermite(m: int) -> QuadratureRule:
-    """m-point Gauss-Hermite rule from the Jacobi matrix of the recurrence.
+def gauss_hermite(m: int) -> tuple:
+    """(nodes, weights) of the m-point Gauss-Hermite rule from the Jacobi
+    matrix of the recurrence; it integrates e^{-x^2} * f(x) exactly for
+    polynomials f of degree <= 2m - 1.
 
     Nodes are the eigenvalues of the symmetric tridiagonal matrix with zero
     diagonal and off-diagonal sqrt(j/2), polished by two Newton steps on the
@@ -148,12 +115,7 @@ def gauss_hermite(m: int) -> QuadratureRule:
         nodes = nodes - rows[m] / (math.sqrt(2.0 * m) * rows[m - 1])
     rows = _recurrence_rows(m - 1 if m > 1 else 0, nodes, gaussian=False)
     weights = 1.0 / (m * rows[m - 1] ** 2) if m > 1 else np.full(1, math.sqrt(math.pi))
-    return QuadratureRule(nodes=nodes, weights=weights)
-
-
-def default_rule_size(max_index: int) -> int:
-    """Rule size guaranteeing exactness for bilinear forms up to max_index."""
-    return min(2 * max_index + 8, MAX_QUADRATURE)
+    return nodes, weights
 
 
 def orthonormality_defect(jmax: int, m: int) -> float:
@@ -162,14 +124,14 @@ def orthonormality_defect(jmax: int, m: int) -> float:
     With m >= jmax + 1 the rule is exact and the defect is pure round-off;
     shorter rules document the failure mode.
     """
-    rule = gauss_hermite(m)
-    rows = _recurrence_rows(jmax, rule.nodes, gaussian=False)
-    gram = (rows * rule.weights) @ rows.T
+    nodes, weights = gauss_hermite(m)
+    rows = _recurrence_rows(jmax, nodes, gaussian=False)
+    gram = (rows * weights) @ rows.T
     return float(np.max(np.abs(gram - np.eye(jmax + 1))))
 
 
-def roots_to_wave(roots) -> WaveExpansion:
-    """Expansion of F(x) = e^{-x^2/2} * prod (x - root_i) in the phi basis.
+def roots_to_wave(roots) -> np.ndarray:
+    """Coefficients a_0..a_m of F(x) = e^{-x^2/2} * prod (x - root_i) in the phi basis.
 
     Starts from e^{-x^2/2} = pi^{1/4} phi_0 and applies multiply-by-(x-root)
     through x*phi_j = sqrt((j+1)/2) phi_{j+1} + sqrt(j/2) phi_{j-1}.
@@ -186,34 +148,35 @@ def roots_to_wave(roots) -> WaveExpansion:
             nxt[: m - 1] += a[1:] * _HALF_ROOTS[: m - 1]  # lowering part
         nxt[:m] -= lam * a
         a = nxt
-    return WaveExpansion(a)
+    return a
 
 
-def wave_derivative(w: WaveExpansion) -> WaveExpansion:
+def wave_derivative(a: np.ndarray) -> np.ndarray:
     """Derivative in the phi basis: b_j = (sqrt(j+1) a_{j+1} - sqrt(j) a_{j-1}) / sqrt(2)."""
-    a = w.coefficients
     m = a.size - 1
     b = np.zeros(m + 2)
     for j in range(m + 2):
         up = math.sqrt(j + 1) * a[j + 1] if j + 1 <= m else 0.0
         down = math.sqrt(j) * a[j - 1] if 1 <= j <= m + 1 else 0.0
         b[j] = (up - down) / math.sqrt(2.0)
-    return WaveExpansion(b)
+    return b
 
 
-def wave_eval(w: WaveExpansion, x) -> np.ndarray:
-    """Pointwise values of the expanded function."""
-    rows = phi_rows(w.degree, x)
-    out = w.coefficients @ rows
+def wave_eval(a: np.ndarray, x) -> np.ndarray:
+    """Pointwise values of the function with phi-basis coefficients ``a``."""
+    rows = phi_rows(a.size - 1, x)
+    out = a @ rows
     return float(out[0]) if np.isscalar(x) else out
 
 
-def wave_l2_quadrature(w: WaveExpansion) -> float:
-    """Independent L^2 norm of the expansion via Gauss-Hermite quadrature."""
-    rule = gauss_hermite(default_rule_size(w.degree))
-    rows = _recurrence_rows(w.degree, rule.nodes, gaussian=False)
-    fvals = w.coefficients @ rows
-    return rule.integrate_weighted(fvals * fvals)
+def wave_l2_quadrature(a: np.ndarray) -> float:
+    """Independent L^2 norm of the expansion ``a`` via Gauss-Hermite quadrature,
+    on a rule long enough to be exact for its square."""
+    degree = a.size - 1
+    nodes, weights = gauss_hermite(min(2 * degree + 8, MAX_QUADRATURE))
+    rows = _recurrence_rows(degree, nodes, gaussian=False)
+    fvals = a @ rows
+    return float(np.dot(weights, fvals * fvals))
 
 
 def derivative_energy_pair(roots, n: int) -> tuple:
@@ -225,9 +188,9 @@ def derivative_energy_pair(roots, n: int) -> tuple:
     rts = np.asarray(roots, dtype=np.float64).ravel()
     if rts.size >= n:
         raise ValueError("root count must be smaller than n")
-    w = roots_to_wave(rts)
-    d = wave_derivative(w)
-    return d.l2_norm_sq(), 2.0 * n * w.l2_norm_sq()
+    a = roots_to_wave(rts)
+    b = wave_derivative(a)
+    return float(np.dot(b, b)), 2.0 * n * float(np.dot(a, a))
 
 
 def _dense_grid(rts: np.ndarray, step=1.0 / 2048.0):
@@ -306,13 +269,13 @@ def pair_integral_root_boxes(roots, c: float) -> float:
         return 0.0
     if rts.size > 16:
         raise ValueError("too many boxes for subset inclusion-exclusion")
-    w = roots_to_wave(rts)
+    a = roots_to_wave(rts)
 
     def rect_integral(lo: float, hi: float) -> float:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         pts = mid + half * _GL_X
         wts = half * _GL_W
-        fa = np.abs(wave_eval(w, pts))
+        fa = np.abs(wave_eval(a, pts))
         kernel = np.abs(pts[:, None] - pts[None, :])
         return float((wts * fa) @ kernel @ (wts * fa))
 

@@ -12,13 +12,11 @@ Three evaluation routes with increasing reach:
   where M is the better-conditioned end of the pencil: they come in equal
   pairs, and one linear factor per pair times Pf(M) is the polynomial.
 
-All functions accept a :class:`SkewMatrix` or any square array-like, which
-is canonicalized on ingest.
+All functions accept any square array-like, which is checked to be
+antisymmetric and canonicalized on ingest.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,36 +25,20 @@ MAX_EXACT_DIM = 12
 PENCIL_SHIFTS = (1.0, -1.0, 0.5, -0.5, 2.0, -2.0)
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
-    """Square real antisymmetric matrix in canonical form.
-
-    Construction antisymmetrizes the input as (X - X^T)/2 and zeroes the
-    diagonal, after checking that the input was antisymmetric to 1e-12.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.entries, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise ValueError("skew matrix must be square")
-        if x.size and np.max(np.abs(x + x.T)) > 1e-12 * max(1.0, np.max(np.abs(x))):
-            raise ValueError("matrix is not antisymmetric within tolerance")
-        canon = 0.5 * (x - x.T)
-        np.fill_diagonal(canon, 0.0)
-        canon.flags.writeable = False
-        object.__setattr__(self, "entries", canon)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def _as_skew_array(x) -> np.ndarray:
-    if isinstance(x, SkewMatrix):
-        return x.entries
-    return SkewMatrix(np.asarray(x, dtype=np.float64)).entries
+    """Canonical copy of a square real antisymmetric matrix.
+
+    Checks that the input is square and antisymmetric to 1e-12, then
+    antisymmetrizes it as (X - X^T)/2 and zeroes the diagonal.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError("skew matrix must be square")
+    if x.size and np.max(np.abs(x + x.T)) > 1e-12 * max(1.0, np.max(np.abs(x))):
+        raise ValueError("matrix is not antisymmetric within tolerance")
+    canon = 0.5 * (x - x.T)
+    np.fill_diagonal(canon, 0.0)
+    return canon
 
 
 def pfaffian_exact(x) -> float:

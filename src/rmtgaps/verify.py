@@ -147,7 +147,7 @@ def _suite_hermite(seed=0) -> SuiteResult:
     rows.append(_below("orthonormality_defect_30_64", defect, 1e-10))
 
     exact = all(
-        hermite.hermite_poly(j).coefficients == tuple(hermite.hermite_coeff_closed(j, p) for p in range(j + 1))
+        hermite.hermite_poly(j) == tuple(hermite.hermite_coeff_closed(j, p) for p in range(j + 1))
         for j in range(41)
     )
     rows.append(("recurrence_matches_closed_form_40", 0.0, 0.0, exact))
@@ -158,7 +158,7 @@ def _suite_hermite(seed=0) -> SuiteResult:
     rows.append(("wave_function_bound", bound, 0.8, bound <= 0.8))
 
     waves = (hermite.roots_to_wave(rng.uniform(-3.0, 3.0, rng.integers(0, 11))) for _ in range(50))
-    err = max(_rel(w.l2_norm_sq(), hermite.wave_l2_quadrature(w)) for w in waves)
+    err = max(_rel(float(np.dot(a, a)), hermite.wave_l2_quadrature(a)) for a in waves)
     rows.append(_below("parseval_vs_quadrature", err, 1e-9))
 
     return SuiteResult(rows)
@@ -206,8 +206,8 @@ def _suite_lemma10(seed=0, cases=1000) -> SuiteResult:
         roots = rng.uniform(-2.0, 2.0, m)
         n = m + 1
         c = float(rng.uniform(0.05, 1.0 / math.sqrt(2.0 * n)))  # keeps 2nc^2 < 1
-        w = hermite.roots_to_wave(roots)
-        norm = w.l2_norm_sq()
+        coeffs = hermite.roots_to_wave(roots)
+        norm = float(np.dot(coeffs, coeffs))
         band = hermite.pair_integral_band(roots, c)
         hi_ok = band <= c * c * norm * (1.0 + 1e-6)
         lo_ok = band >= (1.0 - n * c * c) * c * c * norm * (1.0 - 1e-6)
