@@ -7,8 +7,10 @@
 Configuration comes from an optional JSON file (--config) overridden by
 explicit flags.  A flag or config key the kind (or ``sample``) does not read,
 as each flag's help lists, is a usage error; so is a config ``kind`` other
-than the command's.  Every output header echoes the kind, the base seed and
-the fields the kind reads, so a run can be reproduced from its own artifacts.
+than the command's, and a ``verify`` option outside ``verify.OPTION_BOUNDS``.
+Every output header echoes the kind, the base seed and the fields the kind
+reads, or the suite and the options it reads, so a run can be reproduced from
+its own artifacts.
 Exit codes: 0 success, 1 statistical or verification failure, 2 usage error,
 3 internal error.
 An ``OSError`` is a usage error only where ``--config`` is read or the
@@ -39,7 +41,7 @@ import time
 import traceback
 from pathlib import Path
 
-from . import __version__, experiments, loggas, reports, verify
+from . import __version__, experiments, reports, verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -62,10 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a deterministic verification suite")
     suites = verify.SUITES
     pv.add_argument("suite", choices=suites, help="; ".join(f"{k}: {s.help}" for k, s in suites.items()))
-    readers = ", ".join(k for k, s in suites.items() if "n_max" in s.options)
-    pv.add_argument("--n-max", type=int, default=None, help=f"largest system size ({readers})")
-    pv.add_argument("--cases", type=int, default=None, help="random cases per check")
-    pv.add_argument("--seed", type=int, default=0)
+
+    def read_by(option: str) -> str:
+        return "read by " + ", ".join(k for k, s in suites.items() if option in s.options)
+
+    pv.add_argument("--n-max", type=int, default=None, help=f"largest system size, {read_by('n_max')}")
+    pv.add_argument("--cases", type=int, default=None, help=f"random cases per check, {read_by('cases')}")
+    pv.add_argument("--seed", type=int, default=0, dest="base_seed", help=f"base seed, {read_by('base_seed')}")
     pv.add_argument("--out", default=None, help="output directory for CSV/JSON reports")
     pv.add_argument("--reproducible", action="store_true")
 
@@ -128,27 +133,16 @@ def _merge_config(args, kind: str) -> experiments.ExperimentConfig:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise UsageError("--seed must be non-negative")
-    for flag, name in (("--n-max", "n_max"), ("--cases", "cases")):
-        if getattr(args, name) is not None and name not in verify.SUITES[args.suite].options:
-            raise UsageError(f"{flag} does not apply to suite {args.suite}")
-    options = {"seed": args.seed}
-    if args.n_max is not None:
-        if not 2 <= args.n_max <= loggas.MAX_PFAFFIAN_N:
-            raise UsageError(f"--n-max must be in 2..{loggas.MAX_PFAFFIAN_N}")
-        options["n_max"] = args.n_max
-    if args.cases is not None:
-        if args.cases < 1:
-            raise UsageError("--cases must be positive")
-        options["cases"] = args.cases
-
+    options = {k: getattr(args, k) for k in ("base_seed", "n_max", "cases") if getattr(args, k) is not None}
+    try:
+        config = {"suite": args.suite, **verify.suite_options(args.suite, options)}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.out:
         _make_out_dir(args.out)
     t0 = time.perf_counter()
     result = verify.run_suite(args.suite, options)
     wall = None if args.reproducible else time.perf_counter() - t0
-    config = {"command": "verify", "suite": args.suite, "base_seed": args.seed, **options}
     report = result.report(args.suite, config, wall)
 
     for check, value, threshold, ok in result.rows:

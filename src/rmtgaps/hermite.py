@@ -37,11 +37,8 @@ def hermite_poly(j: int) -> tuple:
     recurrence H_{j+1} = 2x H_j - 2j H_{j-1}."""
     if not 0 <= j <= MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
-    prev = [1]
-    if j == 0:
-        return tuple(prev)
-    cur = [0, 2]
-    for k in range(1, j):
+    prev, cur = [], [1]  # H_{-1} = 0 and H_0
+    for k in range(j):
         nxt = [0] + [2 * c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= 2 * k * c
@@ -93,11 +90,10 @@ def phi_rows(jmax: int, x) -> np.ndarray:
 
 
 def gauss_hermite(m: int) -> tuple:
-    """(nodes, weights) of the m-point Gauss-Hermite rule from the Jacobi
-    matrix of the recurrence; it integrates e^{-x^2} * f(x) exactly for
-    polynomials f of degree <= 2m - 1.
+    """(nodes, weights) of the m-point Gauss-Hermite rule, which integrates
+    e^{-x^2} * f(x) exactly for polynomials f of degree <= 2m - 1.
 
-    Nodes are the eigenvalues of the symmetric tridiagonal matrix with zero
+    Nodes are the eigenvalues of the Jacobi matrix of the recurrence, zero
     diagonal and off-diagonal sqrt(j/2), polished by two Newton steps on the
     normalized Hermite polynomial.  Weights come from the closed form
     w_i = 1 / (m * htilde_{m-1}(x_i)^2); the squared first eigenvector
@@ -170,8 +166,7 @@ def wave_eval(a: np.ndarray, x) -> np.ndarray:
 
 
 def wave_l2_quadrature(a: np.ndarray) -> float:
-    """Independent L^2 norm of the expansion ``a`` via Gauss-Hermite quadrature,
-    on a rule long enough to be exact for its square."""
+    """Independent L^2 norm of the expansion via a Gauss-Hermite rule exact for its square."""
     degree = a.size - 1
     nodes, weights = gauss_hermite(min(2 * degree + 8, MAX_QUADRATURE))
     rows = _recurrence_rows(degree, nodes, gaussian=False)

@@ -6,9 +6,9 @@ Every ``verify`` and ``experiment`` run ends in one :class:`RunReport`, whose
 its gates do, so its JSON verdict cannot disagree with the gates it lists.
 
 Every CSV starts with a metadata block ('#'-prefixed lines) echoing the
-configuration that determines the results (for an experiment, the fields its
-kind reads) and the base seed, so any output can be reproduced from its own
-header.  Floats are rendered with repr (shortest round-trip), which
+configuration that determines the results (the fields an experiment's kind
+reads, the options a verify suite reads) and the base seed (None for a suite
+that draws nothing), so any output can be reproduced from its own header.  Floats are rendered with repr (shortest round-trip), which
 keeps byte-identical output across runs and worker counts.
 """
 

@@ -26,11 +26,7 @@ PENCIL_SHIFTS = (1.0, -1.0, 0.5, -0.5, 2.0, -2.0)
 
 
 def _as_skew_array(x) -> np.ndarray:
-    """Canonical copy of a square real antisymmetric matrix.
-
-    Checks that the input is square and antisymmetric to 1e-12, then
-    antisymmetrizes it as (X - X^T)/2 and zeroes the diagonal.
-    """
+    """A new array (X - X^T)/2 with a zero diagonal, for X square and antisymmetric to 1e-12."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("skew matrix must be square")
@@ -83,7 +79,7 @@ def pfaffian_numeric(x) -> float:
     structurally zero pivot column means the matrix is singular and the
     Pfaffian is exactly 0.
     """
-    m = _as_skew_array(x).copy()
+    m = _as_skew_array(x)
     n = m.shape[0]
     if n % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
@@ -167,8 +163,8 @@ def pfaffian_poly(b, a, max_degree: int) -> np.ndarray:
     n = bm.shape[0]
     if n % 2 != 0:
         raise ValueError("Pfaffian polynomial requires even dimension")
-    if max_degree > n // 2:
-        raise ValueError("max_degree exceeds dim/2")
+    if not 0 <= max_degree <= n // 2:
+        raise ValueError("max_degree must be in 0..dim/2")
     return _pencil_poly(bm, am, max_degree)
 
 
@@ -189,8 +185,8 @@ def pfaffian_bordered(b, a, v, max_degree: int) -> np.ndarray:
     vec = np.asarray(v, dtype=np.float64)
     if vec.shape != (n,):
         raise ValueError("border vector length must match the dimension")
-    if max_degree > (n + 1) // 2:
-        raise ValueError("max_degree exceeds (dim+1)/2")
+    if not 0 <= max_degree <= (n + 1) // 2:
+        raise ValueError("max_degree must be in 0..(dim+1)/2")
     if not vec.any():
         # the border row is zero in every bordered matrix
         return np.zeros(0)

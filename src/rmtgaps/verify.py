@@ -8,7 +8,10 @@ suite is a pure function of its options.
 
 A suite is declared once, as a function ``_suite_<name>`` marked ``@_suite``:
 the first line of its docstring is its help, and its keyword parameters are
-the options it reads, with their defaults.  ``SUITES`` collects them.
+the options it reads, with their defaults.  ``SUITES`` collects them, and
+``OPTION_BOUNDS`` holds the one range of each option.  A run's artifacts echo
+the suite and each option it reads, its defaults filled in
+(:func:`suite_options`).
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ def _suite(func):
     return func
 
 
+# the integer range of every option a suite may read, lowest and highest value
+OPTION_BOUNDS = {"base_seed": (0, math.inf), "cases": (1, math.inf), "n_max": (2, loggas.MAX_PFAFFIAN_N)}
+
+
 def _below(check: str, value: float, threshold: float) -> tuple:
     """Check row for a value that must stay below its threshold."""
     return (check, value, threshold, value < threshold)
@@ -82,9 +89,9 @@ def _random_skew(rng, n: int) -> np.ndarray:
 
 
 @_suite
-def _suite_pfaffian(seed=0, cases=100) -> SuiteResult:
+def _suite_pfaffian(base_seed=0, cases=100) -> SuiteResult:
     """Pfaffian algebraic identities on random skew matrices"""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(base_seed)
     pf = skewlin.pfaffian_numeric
 
     def skews(top: int):
@@ -138,9 +145,9 @@ def _zero_corner_poly(n: int) -> np.ndarray:
 
 
 @_suite
-def _suite_hermite(seed=0) -> SuiteResult:
+def _suite_hermite(base_seed=0) -> SuiteResult:
     """wave-function orthonormality, closed forms, Parseval"""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(base_seed)
     rows = []
 
     defect = hermite.orthonormality_defect(30, 64)
@@ -183,9 +190,9 @@ def _suite_lemma9(n_max=14) -> SuiteResult:
 
 
 @_suite
-def _suite_lemma10(seed=0, cases=1000) -> SuiteResult:
+def _suite_lemma10(base_seed=0, cases=1000) -> SuiteResult:
     """derivative-energy and pair-integral inequalities"""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(base_seed)
     rows = []
 
     violations = 0
@@ -312,9 +319,9 @@ def _suite_dpoly() -> SuiteResult:
 
 
 @_suite
-def _suite_coefficients(seed=0) -> SuiteResult:
+def _suite_coefficients(base_seed=0) -> SuiteResult:
     """pairing coefficient tables against quadrature oracles"""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(base_seed)
     rows = []
 
     err = max(
@@ -348,14 +355,24 @@ def _suite_coefficients(seed=0) -> SuiteResult:
     return SuiteResult(rows)
 
 
-def run_suite(name: str, options: dict | None = None) -> SuiteResult:
-    """Run one suite with the options it reads; a seed is accepted by every suite,
-    and the suites that draw nothing ignore it."""
+def suite_options(name: str, options: dict | None = None) -> dict:
+    """Every option suite ``name`` reads, ``options`` over its defaults: every suite
+    accepts a base seed (one that draws nothing ignores it); any other option it does
+    not read, or a value not an integer within ``OPTION_BOUNDS``, is a ValueError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
-    suite = SUITES[name]
-    options = {k: v for k, v in (options or {}).items() if k != "seed" or k in suite.options}
-    unknown = sorted(set(options) - set(suite.options))
+    options = options or {}
+    reads = SUITES[name].options
+    unknown = sorted(set(options) - set(reads) - {"base_seed"})
     if unknown:
         raise ValueError(f"suite {name} reads no option {', '.join(unknown)}")
-    return suite.run(**options)
+    for key, value in {**reads, **options}.items():
+        lo, hi = OPTION_BOUNDS[key]
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+            raise ValueError(f"{key} must be an integer in [{lo}, {hi}]")
+    return {key: options.get(key, default) for key, default in reads.items()}
+
+
+def run_suite(name: str, options: dict | None = None) -> SuiteResult:
+    """Run one suite with the options that :func:`suite_options` accepts."""
+    return SUITES[name].run(**suite_options(name, options))

@@ -60,6 +60,52 @@ def test_verify_rejects_bad_seed_and_cases(flags):
 
 
 @pytest.mark.parametrize(
+    "suite,options",
+    [
+        ("pfaffian", {"cases": 0}),
+        ("pfaffian", {"cases": -3}),
+        ("lemma10", {"cases": 0}),
+        ("lemma10", {"cases": True}),
+        ("lemma10", {"cases": 2.0}),
+        ("hermite", {"base_seed": -1}),
+        ("hermite", {"base_seed": True}),
+        ("dpoly", {"base_seed": -1}),
+        ("lemma9", {"n_max": 1}),
+        ("lemma9", {"n_max": loggas.MAX_PFAFFIAN_N + 1}),
+        ("lemma9", {"n_max": True}),
+        ("lemma9", {"n_max": "6"}),
+    ],
+)
+def test_run_suite_rejects_out_of_range_options(suite, options):
+    # the same bounds as the CLI's: without them a run with no cases passes every check
+    with pytest.raises(ValueError):
+        verify.run_suite(suite, options)
+
+
+def test_every_suite_option_has_a_bound():
+    for suite in verify.SUITES.values():
+        assert set(suite.options) <= set(verify.OPTION_BOUNDS)
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    [
+        (["lemma9"], {"suite": "lemma9", "n_max": 14}),
+        (["dpoly", "--seed", "3"], {"suite": "dpoly"}),
+        (["pfaffian"], {"suite": "pfaffian", "base_seed": 0, "cases": 100}),
+        (["lemma10", "--seed", "2", "--cases", "3"], {"suite": "lemma10", "base_seed": 2, "cases": 3}),
+    ],
+)
+def test_verify_echoes_the_options_the_suite_reads(tmp_path, args, config):
+    assert run(["verify", *args, "--out", str(tmp_path), "--reproducible"]) == 0
+    report = json.loads((tmp_path / f"verify_{args[0]}.json").read_text())
+    assert report["config"] == config
+    lines = read_lines(tmp_path / f"verify_{args[0]}.csv")
+    assert lines[1] == "# config=" + json.dumps(config, sort_keys=True, separators=(",", ":"))
+    assert lines[2] == f"# base_seed={config.get('base_seed')}"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["dpoly", "--n-max", "5", "--cases", "3"],
@@ -110,6 +156,10 @@ def test_verify_help_names_every_suite(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert list(verify.SUITES) == list(SUITE_HELP)
     assert "; ".join(f"{name}: {text}" for name, text in SUITE_HELP.items()) in out
+    # each option flag names the suites that read it
+    for option in verify.OPTION_BOUNDS:
+        readers = [name for name, suite in verify.SUITES.items() if option in suite.options]
+        assert "read by " + ", ".join(readers) in out
 
 
 def test_verify_lemma10_takes_cases(tmp_path):
@@ -498,6 +548,15 @@ def test_internal_value_error_is_not_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_columns", failing_trials)
     code, _ = run_tiny(tmp_path, "smallest-gap-law")
     assert code == 3
+
+
+def test_value_error_inside_a_suite_is_internal(monkeypatch):
+    # the option checks give exit 2; a ValueError the suite itself raises is a bug
+    def failing_poly(n):
+        raise ValueError("raised inside the suite")
+
+    monkeypatch.setattr(loggas, "dn_poly", failing_poly)
+    assert run(["verify", "dpoly"]) == 3
 
 
 @pytest.mark.parametrize(

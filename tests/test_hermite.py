@@ -19,7 +19,6 @@ from rmtgaps.hermite import (
     orthonormality_defect,
     pair_integral_band,
     pair_integral_offsets,
-    pair_integral_root_boxes,
     phi_rows,
     roots_to_wave,
     wave_derivative,
@@ -43,10 +42,14 @@ def test_closed_form_coefficient_example():
     assert hermite_coeff_closed(6, 2) == 720
 
 
+def _hermite_checks() -> dict:
+    """The hermite suite's rows (check, value, threshold, passed) by check."""
+    return {row[0]: row for row in verify.run_suite("hermite").rows}
+
+
 def test_recurrence_matches_closed_form_exactly():
-    for j in range(41):
-        coeffs = hermite_poly(j)
-        assert all(coeffs[p] == hermite_coeff_closed(j, p) for p in range(j + 1))
+    # H_0..H_40 from the recurrence against the binomial sum, coefficient for coefficient
+    assert _hermite_checks()["recurrence_matches_closed_form_40"][3]
 
 
 def test_leading_coefficient_and_parity():
@@ -74,8 +77,7 @@ def test_phi_values():
 
 def test_phi_uniform_bound_high_degree():
     # max |phi_j| for j <= 200 on [-20, 20], as the hermite suite checks it
-    checks = {check: (threshold, ok) for check, _, threshold, ok in verify.run_suite("hermite").rows}
-    assert checks["wave_function_bound"] == (0.8, True)
+    assert _hermite_checks()["wave_function_bound"][2:] == (0.8, True)
 
 
 def test_quadrature_small_rules():
@@ -128,8 +130,8 @@ def test_wave_pointwise_matches_product():
 
 def test_wave_parseval_sweep():
     # 50 random root sets: coefficient norm against quadrature to 1e-9, among other checks
-    result = verify.run_suite("hermite", {"seed": 2})
-    assert result.report("hermite", {"seed": 2}, None).passed, result.rows
+    result = verify.run_suite("hermite", {"base_seed": 2})
+    assert result.report("hermite", {"base_seed": 2}, None).passed, result.rows
 
 
 def test_wave_root_cap():
@@ -188,7 +190,7 @@ def test_energy_pair_single_zero_root():
 
 def test_energy_inequality_sweep():
     # 1000 random root sets with no energy violation, and the pair-integral bounds
-    options = {"seed": 4, "cases": 1000}
+    options = {"base_seed": 4, "cases": 1000}
     result = verify.run_suite("lemma10", options)
     assert result.report("lemma10", options, None).passed, [row for row in result.rows if not row[3]]
 
@@ -215,7 +217,7 @@ def test_offsets_integral_matches_gaussian_closed_form():
 
 def _lemma10_checks(seed: int, prefix: str) -> list:
     """(value, passed) of the lemma10 suite's five rows named ``prefix``_<trial>."""
-    rows = verify.run_suite("lemma10", {"seed": seed, "cases": 1}).rows
+    rows = verify.run_suite("lemma10", {"base_seed": seed, "cases": 1}).rows
     return [(value, ok) for check, value, _, ok in rows if check.startswith(prefix)]
 
 

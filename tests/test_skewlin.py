@@ -164,6 +164,13 @@ def test_poly_rejects_mismatched_or_odd():
         pfaffian_poly(np.zeros((3, 3)), np.zeros((3, 3)), 1)
     with pytest.raises(ValueError):
         pfaffian_poly(np.zeros((4, 4)), np.zeros((4, 4)), 3)
+    # a negative max_degree would slice off the top coefficients
+    x = random_skew(np.random.default_rng(7), 4)
+    for max_degree in (-1, -2):
+        with pytest.raises(ValueError):
+            pfaffian_poly(x, x, max_degree)
+    with pytest.raises(ValueError):
+        pfaffian_bordered(np.zeros((3, 3)), random_skew(np.random.default_rng(7), 3), [1.0, 2.0, 3.0], -1)
 
 
 def test_bordered_minimal_case():
