@@ -21,7 +21,7 @@ A results key ending in ``passed`` is a gate (a verify report lists each
 check row as one); a run passes, and exits 0, when all its gates do.
 
 ``verify`` runs on numpy alone and never loads scipy.  The Monte Carlo
-commands load ``scipy.linalg`` with their first tridiagonal draw and
+commands solve their tridiagonal matrices with numpy's own LAPACK and load
 ``scipy.special`` with their first fit (KS test, gap-law CDF or chi-square),
 and never ``scipy.stats``; so no command pays for these imports at start-up.
 

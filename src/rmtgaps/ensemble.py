@@ -22,21 +22,23 @@ tridiagonal one through ``sterf`` row by row.  :func:`sample` (with
 :class:`SeedStream` and :class:`Spectrum`) is the one-row call, kept only for
 the benchmark's serial row recompute (``bench/workload.py``).
 
-``scipy.linalg`` (about 0.3 s to import) is loaded on the first call of
-:func:`eigen_tridiagonal`, not with this module, so that a process which never
-draws a tridiagonal spectrum (``rmtgaps verify``) never loads it.  A parallel
-run loads it in the parent before its pool forks (see
-:func:`rmtgaps.experiments._chunks`).
+The tridiagonal eigensolver is LAPACK ``dsterf``, called through ctypes in
+numpy's own OpenBLAS (found when the package is imported; see
+:mod:`rmtgaps`), so a Monte Carlo run loads no second LAPACK wrapper for it.
+Where numpy exports no ILP64 ``dsterf`` (an MKL or Accelerate build, or no
+procfs), scipy's wrapper of the same routine is imported on first use, by
+each pool worker too.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import prng
+from . import _dsterf, prng
 
 SCALING_UNIT = "unit"  # weight e^{-sum x^2/2}: spacings of order 1/n
 SCALING_NSCALED = "nscaled"  # weight e^{-n sum x^2/2} |Delta|^beta: spectrum divided by sqrt(n)
@@ -129,15 +131,30 @@ def eigen_tridiagonal(diag, offdiag) -> np.ndarray:
         raise ValueError("need diagonal length n and off-diagonal length n-1")
     if d.size == 0:
         raise ValueError("empty matrix")
+    # sterf returns NaN eigenvalues for an infinite entry and reports success
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("matrix entries must be finite")
     if d.size == 1:
         return d.copy()
-    import scipy.linalg  # loaded on first use; see the module docstring
+    return _sterf(d, e)
 
-    try:
-        # sterf: implicit-shift QL/QR for eigenvalues only, the fastest route
-        return scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise NonConvergenceError(str(exc)) from exc
+
+def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """LAPACK dsterf (implicit-shift QL/QR, eigenvalues only, the fastest route) on
+    float64 d of length n >= 2 and e of length n - 1; neither is written."""
+    if _dsterf is None:
+        from scipy.linalg.lapack import dsterf  # numpy exports none; see the module docstring
+
+        w, info = dsterf(d, e)
+    else:
+        w = np.array(d)  # dsterf overwrites d with the eigenvalues, and e with scratch
+        work = np.array(e)
+        n, status = ctypes.c_int64(w.size), ctypes.c_int64()
+        _dsterf(ctypes.byref(n), w.ctypes.data, work.ctypes.data, ctypes.byref(status))
+        info = status.value
+    if info:
+        raise NonConvergenceError(f"sterf did not converge (LAPACK info={info})")
+    return w
 
 
 def _increasing(block: np.ndarray) -> np.ndarray:

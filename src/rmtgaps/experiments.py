@@ -24,12 +24,6 @@ within one process, such as a benchmark interpreter or a test session; a
 single CLI call draws every spectrum it needs.  A stored spectrum is the one
 a fresh draw would give, so no artifact depends on what the memo holds.
 
-A run with a pool imports ``scipy.linalg`` (the tridiagonal eigensolver) in
-the parent just before the pool forks.  The ensemble module loads it lazily,
-so that ``rmtgaps verify`` never pays for it; without the parent-side load
-every forked worker of every run would import it anew, about 0.3 s of CPU
-each, since each run that draws starts its own pool.
-
 Each experiment kind, and ``sample``, is declared once, by ``@_kind`` on its
 aggregator: its row parts, the config fields it reads, its order bound and
 its default thresholds (the acceptance targets, which a config overrides).
@@ -332,8 +326,6 @@ def _chunks(cfg: ExperimentConfig, keep: bool = True):
     if workers <= 1:
         yield from gather(ensemble.sample_block(*args) for args in draws)
     else:
-        import scipy.linalg  # noqa: F401 - once here, so the forked workers inherit it
-
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from gather(pool.map(ensemble.sample_block, *zip(*draws)))
 

@@ -676,30 +676,31 @@ print(json.dumps(seen))
 """
     seen = json.loads(_fresh_python(code, tmp_path).splitlines()[-1])
     assert seen["verify"] == [0, []]
-    # the eigensolver's scipy.linalg with the draws, scipy.special with the fits, never scipy.stats
-    assert seen["smallest-gap-law"] == [0, ["scipy.linalg", "scipy.special"]]
-    assert seen["poisson-counts"] == [0, ["scipy.linalg", "scipy.special"]]
+    # scipy.special with the fits; the draws solve on numpy's own LAPACK; never scipy.stats
+    assert seen["smallest-gap-law"] == [0, ["scipy.special"]]
+    assert seen["poisson-counts"] == [0, ["scipy.special"]]
 
 
-def test_pool_forks_after_scipy_linalg_is_loaded(tmp_path):
-    # forked workers inherit the parent's modules; one loaded later is imported per worker
+def test_pool_runs_load_no_scipy_linalg(tmp_path):
+    # neither the parent nor a forked worker that has drawn loads a second LAPACK wrapper
     code = """
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from rmtgaps import experiments
-assert "scipy.linalg" not in sys.modules
-pools = []
+def loaded():
+    return "scipy.linalg" in sys.modules
+seen = []
 class CheckingPool(ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        assert "scipy.linalg" in sys.modules, "the pool was built before scipy.linalg was loaded"
-        pools.append(self)
-        super().__init__(*args, **kwargs)
+    def map(self, fn, *iterables):
+        blocks = list(super().map(fn, *iterables))
+        seen.append(self.submit(loaded).result())  # a worker, after the draws
+        return iter(blocks)
 experiments.ProcessPoolExecutor = CheckingPool
 cfg = experiments.ExperimentConfig(kind="smallest-gap-law", n=50, trials=30, workers=2)
 experiments.run_experiment(cfg, write_files=False)
-print(len(pools))
+print(seen, loaded())
 """
-    assert _fresh_python(code, tmp_path).split() == ["1"]
+    assert _fresh_python(code, tmp_path).split() == ["[False]", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +750,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "hermite"])
 with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
     worker = pool.submit(blas_threads).result()
-print(json.dumps([code, blas_threads(), worker, "scipy.linalg" in sys.modules]))
+import rmtgaps
+print(json.dumps([code, blas_threads(), worker, "scipy.linalg" in sys.modules, rmtgaps._dsterf is not None]))
 """
-    code, here, worker, scipy_linalg = json.loads(_fresh_python(code, tmp_path, **env).splitlines()[-1])
+    seen = json.loads(_fresh_python(code, tmp_path, **env).splitlines()[-1])
+    code, here, worker, scipy_linalg, dsterf = seen
+    # the same scan finds numpy's dsterf, whether or not it pins the threads
+    assert dsterf == (ensemble._dsterf is not None)
     if not here:
         pytest.skip("numpy loads no OpenBLAS")
     # one OpenBLAS, numpy's: verify loads no scipy.linalg, so no second copy comes with it

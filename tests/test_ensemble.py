@@ -76,6 +76,67 @@ def test_eigen_tridiagonal_shape_validation():
         ens.eigen_tridiagonal([1.0, 2.0], [1.0, 2.0])
 
 
+def test_eigen_tridiagonal_rejects_non_finite_entries():
+    # sterf itself returns [nan nan nan] with info 0 here, which a draw would take for a tie
+    with pytest.raises(ValueError, match="finite"):
+        ens.eigen_tridiagonal([1.0, 2.0, 3.0], [math.inf, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        ens.eigen_tridiagonal([math.nan], [])
+
+
+def test_sterf_failure_is_non_convergence():
+    # past the finiteness check, a NaN diagonal makes sterf give up (info = 2)
+    with pytest.raises(ens.NonConvergenceError, match="info=2"):
+        ens._sterf(np.array([math.nan, 2.0, 3.0]), np.array([1.0, 1.0]))
+
+
+def _drawn_rows(n, count):
+    """``count`` tridiagonal GOE rows (diagonal, off-diagonal) as ``_draw`` makes them."""
+    keys = prng.stream_keys(SEED, np.arange(count))
+    shapes = 0.5 * np.arange(n - 1, 0, -1, dtype=np.float64)
+    return zip(prng.normals(keys, 0, n), np.sqrt(prng.gammas(keys, 0, n - 1, shapes)))
+
+
+@pytest.mark.parametrize("n,count", [(2, 500), (3, 500), (50, 500), (1000, 10)])
+def test_eigen_tridiagonal_is_scipys_sterf_byte_for_byte(n, count):
+    from scipy.linalg.lapack import dsterf
+
+    for d, e in _drawn_rows(n, count):
+        values, info = dsterf(d, e)
+        assert info == 0
+        assert ens.eigen_tridiagonal(d, e).tobytes() == values.tobytes()
+
+
+def test_eigen_tridiagonal_at_the_size_limit():
+    # off-diagonals of 1e-300 deflate at once: the 64-bit n at MAX_TRIDIAG_N, without the long solve
+    from scipy.linalg.lapack import dsterf
+
+    d = prng.normals(prng.stream_keys(SEED, [0])[0], 0, ens.MAX_TRIDIAG_N)
+    e = np.full(d.size - 1, 1e-300)
+    values = ens.eigen_tridiagonal(d, e)
+    assert values.tobytes() == np.sort(d).tobytes() == dsterf(d, e)[0].tobytes()
+
+
+def _numpy_ilp64_openblas() -> bool:
+    lapack = np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
+    return "openblas" in lapack.get("name", "") and "USE64BITINT" in lapack.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _numpy_ilp64_openblas(), reason="numpy's LAPACK is no ILP64 OpenBLAS")
+def test_numpy_dsterf_is_the_one_in_use(monkeypatch):
+    # numpy's bundled OpenBLAS exports dsterf: no silent fallback to scipy's copy
+    assert ens._dsterf is not None
+    solve, calls = ens._dsterf, []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ens, "_dsterf", counting)
+    assert np.array_equal(ens.eigen_tridiagonal([0.0, 0.0], [1.0]), [-1.0, 1.0])
+    assert len(calls) == 1
+
+
 def test_size_bounds():
     # checked when the spec is built, so nothing is drawn
     for spec, limit in ((dense, ens.MAX_DENSE_N), (tridiag, ens.MAX_TRIDIAG_N)):

@@ -352,6 +352,23 @@ def test_reproducible_artifacts_keep_their_bytes(tmp_path, memo, name, workers):
     assert _pinned_run(name, tmp_path / "out", workers) == PINNED_RUNS[name][2]
 
 
+@pytest.mark.parametrize("name", ["smallest-gap-law", "sample-tridiagonal"])
+def test_scipy_sterf_fallback_keeps_the_bytes(tmp_path, memo, monkeypatch, name):
+    # where numpy exports no dsterf, scipy's copy of the routine solves every row
+    import scipy.linalg.lapack
+
+    solve, calls = scipy.linalg.lapack.dsterf, []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ensemble, "_dsterf", None)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", counting)
+    assert _pinned_run(name, tmp_path / "out") == PINNED_RUNS[name][2]
+    assert calls
+
+
 @pytest.mark.parametrize("name", ["sampler-crosscheck", "sample-dense"])
 def test_artifacts_do_not_depend_on_the_output_directory(tmp_path, memo, name):
     # the output directory is not echoed: an experiment and the spectra export write the same bytes anywhere
