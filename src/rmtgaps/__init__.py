@@ -10,8 +10,9 @@ the process (numpy's, which the import loads first) to one thread, unless
 a count the user set always wins.  Monte Carlo runs parallelize over pool
 workers, which inherit the setting, and the exact half solves matrices of
 size 60 or less, where a second BLAS thread burns a core and saves no time.
-No artifact depends on the thread count.  scipy's OpenBLAS arrives only with
-``scipy.special``, which the Monte Carlo fits load, and runs no LAPACK call.
+No artifact depends on the thread count.  No run loads scipy, so numpy's is
+the only OpenBLAS in the process, except where scipy's ``dsterf`` fallback
+(below) brings scipy's own, after this scan and at its own thread count.
 A build with another BLAS (MKL, Accelerate) is left as it is.
 
 LAPACK: the same scan records numpy's own ``dsterf``, the tridiagonal

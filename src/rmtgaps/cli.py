@@ -20,10 +20,11 @@ output directory is made; elsewhere it is an internal error.
 A results key ending in ``passed`` is a gate (a verify report lists each
 check row as one); a run passes, and exits 0, when all its gates do.
 
-``verify`` runs on numpy alone and never loads scipy.  The Monte Carlo
-commands solve their tridiagonal matrices with numpy's own LAPACK and load
-``scipy.special`` with their first fit (KS test, gap-law CDF or chi-square),
-and never ``scipy.stats``; so no command pays for these imports at start-up.
+No command loads scipy: ``verify`` runs on numpy alone, and the Monte Carlo
+commands solve their tridiagonal matrices with numpy's own LAPACK ``dsterf``
+and fit their laws (KS tests, gap-law CDF, chi-square) with the closed forms
+in ``gapstats``.  Only where numpy exports no ``dsterf`` does a draw import
+``scipy.linalg`` for scipy's copy of the routine (see ``rmtgaps.ensemble``).
 
 Every command runs numpy's OpenBLAS on one thread per process, pool workers
 included, unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or

@@ -27,7 +27,10 @@ numpy's own OpenBLAS (found when the package is imported; see
 :mod:`rmtgaps`), so a Monte Carlo run loads no second LAPACK wrapper for it.
 Where numpy exports no ILP64 ``dsterf`` (an MKL or Accelerate build, or no
 procfs), scipy's wrapper of the same routine is imported on first use, by
-each pool worker too.
+each pool worker too.  That fallback is the only scipy import in the
+package; ``pyproject.toml`` keeps scipy as a dependency for it, and for the
+tests, which hold the ctypes route to scipy's wrapper byte for byte and the
+closed forms in :mod:`rmtgaps.gapstats` to ``scipy.special``.
 """
 
 from __future__ import annotations

@@ -13,9 +13,14 @@ benchmark's serial row recompute (``bench/workload.py``).  Goodness-of-fit
 helpers (one- and two-sample Kolmogorov-Smirnov with the asymptotic p-value,
 chi-square Poisson fit, falling factorials) operate on plain sample arrays so
 they can be reused on any experiment output, and the limit laws evaluate
-elementwise on arrays.  The KS tests, the k-th gap law and the chi-square fit
-load ``scipy.special`` on first use, not with this module: no process that
-never fits a law (``rmtgaps verify``) pays for the import.
+elementwise on arrays.  Every special function a fit needs has a short closed
+form for the arguments it meets, written here on numpy and ``math``: the
+k-th gap law is Gamma(k, 1) in y = x^{beta+1}, whose CDF is a finite Poisson
+sum (Abramowitz & Stegun 6.5.13); the chi-square survival function at an
+integer number of degrees of freedom climbs from e^{-x/2} or erfc(sqrt(x/2))
+by one term per half-degree; the Kolmogorov survival function is a pair of
+theta series (Marsaglia, Tsang & Wang, J. Stat. Softw. 8(18), 2003).  So a
+fit loads no scipy module.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ TAU_NORMALIZATION = 2.0**-1.5
 # fewest samples the one-sample KS test and the chi-square Poisson fit accept
 KS_MIN_SAMPLES = 10
 GOF_MIN_SAMPLES = 200
+
+# half the float64 spacing at 1: a term below this share of a positive sum does not move it
+_EPS = 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +99,63 @@ def _law_power(x: np.ndarray, beta: float) -> np.ndarray:
         return x * x if beta == 1.0 else x ** (beta + 1.0)
 
 
+def _stirling_remainder(k: int) -> float:
+    """log k! - (k log k - k) for an integer k >= 1.  From k = 10 on it is the
+    Stirling series, whose terms do not cancel as log k! and k log k do; its
+    first omitted term is below 1e-16 there."""
+    if k < 10:
+        return math.lgamma(k + 1) - k * math.log(k) + k
+    r2 = 1.0 / (k * k)
+    tail = 1 / 1680 - r2 * (1 / 1188 - r2 * (691 / 360360 - r2 / 156))
+    series = 1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * tail))
+    return 0.5 * math.log(2.0 * math.pi * k) + series / k
+
+
+def _gamma_p(k: int, y) -> np.ndarray:
+    """The regularized lower incomplete gamma P(k, y) = 1 - e^{-y} sum_{j<k} y^j/j!
+    for an integer k >= 1, elementwise on y >= 0.
+
+    Both branches scale the Poisson probability e^{-y} y^k / k!, taken as
+    exp(k log(y/k) + k - y - log k! + k log k - k), which neither overflows nor
+    cancels for any k.  Below y = k, P is that times the rising series
+    sum_m y^m k!/(k+m)! (A&S 6.5.29); from y = k on, P = 1 - Q with Q that times
+    sum_{i=1..k} k!/((k-i)! y^i).  Every term is positive and each series falls
+    from its first term; a sum stops once no term moves it."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.ones_like(y)  # P(k, inf) = 1
+    live = y != np.inf
+    yl = y[live]
+    with np.errstate(divide="ignore"):  # log 0 = -inf: P(k, 0) = 0
+        pmf = np.exp(k * np.log(yl / k) + (k - yl) - _stirling_remainder(k))
+    p = np.empty_like(yl)
+    below = yl < k
+    lo = yl[below]
+    term, total = np.ones_like(lo), np.ones_like(lo)
+    m = k
+    while np.any(term > _EPS * total):
+        m += 1
+        term *= lo / m
+        total += term
+    p[below] = pmf[below] * total
+    hi = yl[~below]
+    term, total = np.ones_like(hi), np.zeros_like(hi)
+    for i in range(k):
+        term *= (k - i) / hi
+        total += term
+        if not np.any(term > _EPS * total):
+            break
+    p[~below] = 1.0 - pmf[~below] * total
+    out[live] = p
+    return out[()]  # a scalar for a scalar y
+
+
 def limiting_tau_cdf(k: int, x, beta: float = 1.0):
     """P(tau_k <= x) in the limit, elementwise: the regularized lower
     incomplete gamma P(k, y) at y = x^{beta+1}, i.e. 1 - e^{-y} sum_{j<k} y^j/j!,
     and 0 for x <= 0.  beta = 1 is the GOE law of the k-th smallest gap."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    from scipy.special import gammainc  # loaded on first use; see the module docstring
-
-    return gammainc(k, _law_power(np.maximum(x, 0.0), beta))
+    return _gamma_p(k, _law_power(np.maximum(x, 0.0), beta))
 
 
 def limiting_tau_pdf(k: int, x, beta: float = 1.0):
@@ -107,11 +163,11 @@ def limiting_tau_pdf(k: int, x, beta: float = 1.0):
     which is 2 x^{2k-1} e^{-x^2} / (k-1)! for the GOE, and 0 for x <= 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    from scipy.special import xlogy  # a log(x), and -inf at x = 0 without a warning
-
     x = np.maximum(x, 0.0)
     b1 = beta + 1.0
-    return np.exp(math.log(b1) + xlogy(k * b1 - 1.0, x) - _law_power(x, beta) - math.lgamma(k))
+    with np.errstate(divide="ignore"):  # the power k(beta+1) - 1 is positive: log 0 = -inf gives 0
+        log_power = (k * b1 - 1.0) * np.log(x)
+    return np.exp(math.log(b1) + log_power - _law_power(x, beta) - math.lgamma(k))
 
 
 def two_by_two_gap_cdf(s):
@@ -136,6 +192,20 @@ def poisson_intensity(interval) -> float:
 # goodness of fit
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """The limit of P(sqrt(n) D_n > x): up to x = 1, one minus the theta series
+    sqrt(2 pi)/x sum_{j>=1} e^{-(2j-1)^2 pi^2 / (8 x^2)}; above, the alternating
+    series 2 sum_{j>=1} (-1)^{j-1} e^{-2 j^2 x^2}.  Either omits terms below
+    1e-20 of its first."""
+    if x <= 0.04:  # the theta series is below 1e-300 here, and x * x may underflow
+        return 1.0
+    if x <= 1.0:
+        w = math.exp(-math.pi**2 / (8.0 * x * x))
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * (w + w**9 + w**25 + w**49)
+    v = math.exp(-2.0 * x * x)
+    return 2.0 * (v - v**4 + v**9 - v**16)
+
+
 def _sorted_samples(samples) -> np.ndarray:
     v = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if v.size < 1:
@@ -150,20 +220,16 @@ def ks_test(samples, cdf) -> tuple:
     n = v.size
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples")
-    from scipy.special import kolmogorov  # the Kolmogorov survival function
-
     f = cdf(v)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
     d = float(max(d_plus, d_minus))
-    return d, float(kolmogorov(math.sqrt(n) * d))
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
 def ks_two_sample(a, b) -> tuple:
     """Two-sample Kolmogorov-Smirnov with the asymptotic p-value."""
-    from scipy.special import kolmogorov
-
     va, vb = _sorted_samples(a), _sorted_samples(b)
     pooled = np.concatenate([va, vb])
     pooled.sort(kind="mergesort")
@@ -171,7 +237,7 @@ def ks_two_sample(a, b) -> tuple:
     fb = np.searchsorted(vb, pooled, side="right") / vb.size
     d = float(np.max(np.abs(fa - fb)))
     ne = va.size * vb.size / (va.size + vb.size)
-    return d, float(kolmogorov(math.sqrt(ne) * d))
+    return d, _kolmogorov_sf(math.sqrt(ne) * d)
 
 
 def falling_factorial(count_samples, k: int) -> np.ndarray:
@@ -186,9 +252,24 @@ def falling_factorial(count_samples, k: int) -> np.ndarray:
 
 
 def _poisson_pmf(kk: np.ndarray, mu: float) -> np.ndarray:
-    from scipy.special import gammaln
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in kk])
+    return np.exp(kk * math.log(mu) - mu - log_factorials)
 
-    return np.exp(kk * math.log(mu) - mu - gammaln(kk + 1))
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(chi^2_df > x) for an integer df >= 1: Q(df/2, x/2), climbing from
+    Q(1/2, z) = erfc(sqrt z) or Q(1, z) = e^{-z} by Q(a+1, z) = Q(a, z) + z^a e^{-z} / Gamma(a+1).
+    Every term is positive, so nothing cancels."""
+    z = 0.5 * x
+    if df % 2:
+        a, q, term = 0.5, math.erfc(math.sqrt(z)), 2.0 * math.sqrt(z / math.pi) * math.exp(-z)
+    else:
+        a, q, term = 1.0, math.exp(-z), z * math.exp(-z)
+    while a < 0.5 * df:
+        q += term
+        a += 1.0
+        term *= z / a
+    return q
 
 
 def poisson_gof(count_samples, mu: float) -> float:
@@ -227,9 +308,7 @@ def poisson_gof(count_samples, mu: float) -> float:
             pooled_obs, pooled_exp = [acc_o], [acc_e]
     if len(pooled_exp) <= 1:
         return 1.0
-    from scipy.special import chdtrc  # loaded on first use; see the module docstring
-
     obs = np.array(pooled_obs)
     exp = np.array(pooled_exp)
     stat = float(np.sum((obs - exp) ** 2 / exp))
-    return float(chdtrc(len(pooled_exp) - 1, stat))  # the chi-square survival function
+    return _chi2_sf(len(pooled_exp) - 1, stat)

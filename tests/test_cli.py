@@ -653,17 +653,28 @@ def _fresh_python(code: str, cwd: Path, **env_vars) -> str:
     return proc.stdout
 
 
-def test_scipy_loads_only_on_the_monte_carlo_path(tmp_path):
+# where numpy exports no dsterf, every draw imports scipy.linalg for its copy of the routine
+needs_numpy_dsterf = pytest.mark.skipif(ensemble._dsterf is None, reason="numpy exports no dsterf")
+
+# the names of every loaded scipy module, in a fresh interpreter's code
+LOADED_SCIPY = """
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+@needs_numpy_dsterf
+def test_no_monte_carlo_run_loads_scipy(tmp_path):
+    # the draws solve on numpy's own LAPACK and the fits take gapstats' closed forms;
     # a top-level scipy import anywhere in the package would show after the verify call
     runs = {kind: TINY_RUNS[kind] for kind in ("smallest-gap-law", "poisson-counts")}
-    code = f"""
-import contextlib, importlib, io, json, pkgutil, sys
+    code = LOADED_SCIPY + f"""
+import contextlib, importlib, io, json, pkgutil
 import rmtgaps
 from rmtgaps import cli
 for info in pkgutil.iter_modules(rmtgaps.__path__):
     importlib.import_module("rmtgaps." + info.name)
-def loaded():
-    return [m for m in ("scipy.linalg", "scipy.special", "scipy.stats") if m in sys.modules]
 seen = {{}}
 with contextlib.redirect_stdout(io.StringIO()):
     seen["verify"] = (cli.main(["verify", "hermite"]), loaded())
@@ -675,20 +686,15 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(seen))
 """
     seen = json.loads(_fresh_python(code, tmp_path).splitlines()[-1])
-    assert seen["verify"] == [0, []]
-    # scipy.special with the fits; the draws solve on numpy's own LAPACK; never scipy.stats
-    assert seen["smallest-gap-law"] == [0, ["scipy.special"]]
-    assert seen["poisson-counts"] == [0, ["scipy.special"]]
+    assert seen == {"verify": [0, []], "smallest-gap-law": [0, []], "poisson-counts": [0, []]}
 
 
-def test_pool_runs_load_no_scipy_linalg(tmp_path):
-    # neither the parent nor a forked worker that has drawn loads a second LAPACK wrapper
-    code = """
-import sys
+@needs_numpy_dsterf
+def test_pool_runs_load_no_scipy(tmp_path):
+    # neither the parent nor a forked worker that has drawn loads any scipy module
+    code = LOADED_SCIPY + """
 from concurrent.futures import ProcessPoolExecutor
 from rmtgaps import experiments
-def loaded():
-    return "scipy.linalg" in sys.modules
 seen = []
 class CheckingPool(ProcessPoolExecutor):
     def map(self, fn, *iterables):
@@ -700,7 +706,7 @@ cfg = experiments.ExperimentConfig(kind="smallest-gap-law", n=50, trials=30, wor
 experiments.run_experiment(cfg, write_files=False)
 print(seen, loaded())
 """
-    assert _fresh_python(code, tmp_path).split() == ["[False]", "False"]
+    assert _fresh_python(code, tmp_path).split() == ["[[]]", "[]"]
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +771,36 @@ print(json.dumps([code, blas_threads(), worker, "scipy.linalg" in sys.modules, r
     assert worker == here  # a forked pool worker inherits the count
 
 
+@needs_numpy_dsterf
+def test_a_monte_carlo_run_maps_one_openblas_and_starts_no_thread(tmp_path, no_thread_variables):
+    # no run loads scipy, so its OpenBLAS, which the package scan would not pin, never starts.
+    # One worker draws in-process: a pool's fork makes OpenBLAS stop its idle threads in the
+    # parent (its atfork handler), which would hide a thread started by the run.
+    flags, config = TINY_RUNS["smallest-gap-law"]
+    code = f"""
+import contextlib, io, json, os
+from rmtgaps import cli
+def state():
+    with open("/proc/self/maps") as maps:
+        paths = {{line.split(maxsplit=5)[-1].strip() for line in maps}}
+    blas = sorted(p for p in paths if "openblas" in os.path.basename(p))
+    return blas, len(os.listdir("/proc/self/task"))
+with open("run.json", "w") as f:
+    json.dump({config!r}, f)
+before = state()
+with contextlib.redirect_stdout(io.StringIO()):
+    argv = ["experiment", "smallest-gap-law", *{flags!r}, "--workers", "1", "--config", "run.json", "--out", "out"]
+    code = cli.main(argv)
+print(json.dumps([code, before, state()]))
+"""
+    code, before, after = json.loads(_fresh_python(code, tmp_path).splitlines()[-1])
+    assert code == 0
+    if not before[0]:
+        pytest.skip("numpy loads no OpenBLAS")
+    assert len(after[0]) == 1
+    assert after == before
+
+
 @multi_cpu
 def test_artifacts_independent_of_blas_threads(tmp_path, no_thread_variables):
     # every suite at the benchmark's options, and a dense crosscheck on a pool of two
@@ -779,7 +815,7 @@ def test_artifacts_independent_of_blas_threads(tmp_path, no_thread_variables):
     code = BLAS_THREADS + f"""
 import contextlib, io, json
 from rmtgaps import cli
-threads = list(blas_threads().values())  # numpy's alone, before a run loads scipy's
+threads = list(blas_threads().values())  # numpy's, the only OpenBLAS a run maps
 with open("crosscheck.json", "w") as f:
     json.dump({{"gap_law_trials": 1250}}, f)
 with contextlib.redirect_stdout(io.StringIO()):

@@ -287,12 +287,12 @@ PINNED_RUNS = {
     "smallest-gap-law": (
         ["experiment", "smallest-gap-law", "--n", "50", "--trials", "30", "--k-max", "2"],
         {"thresholds": {"ks_max": {"1": 0.5, "2": 0.5}, "tau1_mean_tol": 0.5}},
-        "c8de9416f41133e00e4fcb59b3fa31356d42c50eeefdfbef1f6351410033a540",
+        "70fed643f0f63821ef7115457adb6dc27ee529be3297a9b274d860fd3e7139c4",
     ),
     "poisson-counts": (
         ["experiment", "poisson-counts", "--n", "40", "--trials", "200", "--j-max", "2"],
         None,
-        "08a318791eca7834440634a11f0f71c4bec96e19e6dfad349241fcf706c9e9a6",
+        "fef8807930b55e89a2a6a4ffbfe6bb3cc7ca01fea9fc639066889bc116638cf4",
     ),
     "factorial-moments": (
         ["experiment", "factorial-moments", "--n", "40", "--trials", "30", "--k-max", "2"],
@@ -312,7 +312,7 @@ PINNED_RUNS = {
     "conjecture-beta": (
         ["experiment", "conjecture-beta", "--n", "40", "--beta", "2", "--trials", "30", "--k-max", "2"],
         None,
-        "3988a2a179ff6dc91e776d07f2bf880939bb14e5000ac95e8a196d3b296f7de8",
+        "10a99c7faca32b9383d0f1fef011653b80823b3c21b384adc21fb39d8b4922b8",
     ),
     "sample-tridiagonal": (
         ["sample", "--n", "12", "--trials", "7", "--beta", "2.5", "--scaling", "nscaled"],

@@ -202,6 +202,65 @@ def test_poisson_gof_behaviour():
         gs.poisson_gof(np.zeros(300, dtype=int), 0.0)
 
 
+# ---------------------------------------------------------------------------
+# the closed forms behind the fits, against scipy.special (the package imports no scipy)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 100, 999])
+def test_gamma_p_matches_scipy(k):
+    from scipy.special import gammainc
+
+    bulk = np.linspace(max(k - 10 * math.sqrt(k), 0.0), k + 10 * math.sqrt(k), 501)  # across the y = k switch
+    y = np.concatenate([[0.0, 1e-300], np.geomspace(1e-12, 1e6, 1000), bulk, [np.inf]])
+    err = np.abs(gs._gamma_p(k, y) - gammainc(k, y))
+    assert np.max(err) <= (1e-14 if k <= 10 else 1e-12)
+
+
+def test_kolmogorov_sf_matches_scipy():
+    from scipy.special import kolmogorov
+
+    switch = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    x = np.concatenate([np.geomspace(0.05, 20.0, 2000), switch])
+    ours = np.array([gs._kolmogorov_sf(float(v)) for v in x])
+    theirs = kolmogorov(x)
+    err = np.abs(ours - theirs)
+    assert np.max(err) <= 1e-14
+    tail = theirs >= 1e-300
+    assert np.max(err[tail] / theirs[tail]) <= 1e-13
+    assert gs._kolmogorov_sf(0.0) == gs._kolmogorov_sf(1e-200) == 1.0
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy.special import chdtrc
+
+    x = np.concatenate([[0.0], np.geomspace(1e-3, 400.0, 300)])
+    for df in range(1, 41):
+        ours = np.array([gs._chi2_sf(df, float(v)) for v in x])
+        assert np.max(np.abs(ours / chdtrc(df, x) - 1.0)) <= 1e-13, df
+
+
+def test_poisson_pmf_matches_gammaln():
+    from scipy.special import gammaln
+
+    kk = np.arange(41, dtype=np.float64)  # log k! below 111, where the two lgamma agree to a few ulps
+    for mu in (1e-9, 0.125, 0.5, 3.0, 30.0):
+        ref = np.exp(kk * math.log(mu) - mu - gammaln(kk + 1))
+        assert np.allclose(gs._poisson_pmf(kk, mu), ref, rtol=1e-13, atol=0.0), mu
+
+
+def test_limit_law_at_the_highest_gap_order():
+    # --k-max allows k up to n - 1: the Poisson sum must neither overflow nor cancel there
+    x = np.linspace(0.0, 60.0, 6001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf = gs.limiting_tau_cdf(999, x)
+        pdf = gs.limiting_tau_pdf(999, x)
+    assert np.all(np.isfinite(cdf)) and np.all(np.isfinite(pdf))
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(pdf >= 0.0)
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+
+
 def test_summary_invariants_on_random_spectra():
     from rmtgaps import ensemble as ens
 
