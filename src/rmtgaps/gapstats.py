@@ -259,7 +259,9 @@ def _poisson_pmf(kk: np.ndarray, mu: float) -> np.ndarray:
 def _chi2_sf(df: int, x: float) -> float:
     """P(chi^2_df > x) for an integer df >= 1: Q(df/2, x/2), climbing from
     Q(1/2, z) = erfc(sqrt z) or Q(1, z) = e^{-z} by Q(a+1, z) = Q(a, z) + z^a e^{-z} / Gamma(a+1).
-    Every term is positive, so nothing cancels."""
+    Every term is positive, so nothing cancels.  From x = 1417 on e^{-x/2} is
+    subnormal: the result, below 1e-270 for df <= 40, loses digits there and
+    reads 0 from x = 1490."""
     z = 0.5 * x
     if df % 2:
         a, q, term = 0.5, math.erfc(math.sqrt(z)), 2.0 * math.sqrt(z / math.pi) * math.exp(-z)

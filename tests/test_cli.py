@@ -668,7 +668,9 @@ def loaded():
 def test_no_monte_carlo_run_loads_scipy(tmp_path):
     # the draws solve on numpy's own LAPACK and the fits take gapstats' closed forms;
     # a top-level scipy import anywhere in the package would show after the verify call
-    runs = {kind: TINY_RUNS[kind] for kind in ("smallest-gap-law", "poisson-counts")}
+    runs = {kind: (["experiment", kind, *flags], config) for kind, (flags, config) in TINY_RUNS.items()}
+    for sampler in ("tridiagonal", "dense"):
+        runs["sample-" + sampler] = (["sample", "--n", "12", "--trials", "7", "--sampler", sampler], {})
     code = LOADED_SCIPY + f"""
 import contextlib, importlib, io, json, pkgutil
 import rmtgaps
@@ -678,15 +680,15 @@ for info in pkgutil.iter_modules(rmtgaps.__path__):
 seen = {{}}
 with contextlib.redirect_stdout(io.StringIO()):
     seen["verify"] = (cli.main(["verify", "hermite"]), loaded())
-    for kind, (flags, config) in {runs!r}.items():
-        with open(kind + ".json", "w") as f:
+    for name, (argv, config) in {runs!r}.items():
+        with open(name + ".json", "w") as f:
             json.dump(config, f)
-        argv = ["experiment", kind, *flags, "--workers", "2", "--config", kind + ".json", "--out", kind]
-        seen[kind] = (cli.main(argv), loaded())
+        argv += ["--workers", "2", "--config", name + ".json", "--out", name]
+        seen[name] = (cli.main(argv), loaded())
 print(json.dumps(seen))
 """
     seen = json.loads(_fresh_python(code, tmp_path).splitlines()[-1])
-    assert seen == {"verify": [0, []], "smallest-gap-law": [0, []], "poisson-counts": [0, []]}
+    assert seen == {name: [0, []] for name in ["verify", *runs]}
 
 
 @needs_numpy_dsterf
